@@ -4,6 +4,10 @@
 // This is thread context — the scheduler saves/restores it on context
 // switches, and dIPC proxies manipulate the privileged DCS bounds when
 // enforcing DCS integrity/confidentiality (§5.2.3).
+//
+// Every simulated thread carries one ThreadCapContext, so its footprint is
+// per-thread cost: the DCS allocates slots only as capabilities are pushed
+// (see Dcs), not its whole 1024-entry bound at spawn.
 #ifndef DIPC_CODOMS_CAP_CONTEXT_H_
 #define DIPC_CODOMS_CAP_CONTEXT_H_
 
@@ -48,15 +52,25 @@ class CapRegisters {
 // registers; unprivileged code moves the top via push/pop only, while the
 // *base* is privileged — dIPC proxies raise it to hide the caller's entries
 // (DCS integrity) and restore it on return (§5.2.3).
+//
+// Storage grows on push, up to `capacity` entries (1024 by default); a
+// thread that never spills holds no slots. Slots below the high-water mark
+// stay allocated after Pop/TruncateTo and are overwritten by later pushes,
+// so the stack never shrinks and a push below the mark allocates nothing.
 class Dcs {
  public:
-  explicit Dcs(uint32_t capacity = 1024) : slots_(capacity) {}
+  explicit Dcs(uint32_t capacity = 1024) : capacity_(capacity) {}
 
   base::Status Push(const Capability& cap) {
-    if (top_ >= slots_.size()) {
+    if (top_ >= capacity_) {
       return base::ErrorCode::kResourceExhausted;
     }
-    slots_[top_++] = cap;
+    if (top_ < slots_.size()) {
+      slots_[top_] = cap;
+    } else {
+      slots_.push_back(cap);
+    }
+    ++top_;
     return base::Status::Ok();
   }
 
@@ -92,7 +106,8 @@ class Dcs {
   }
 
  private:
-  std::vector<Capability> slots_;
+  uint32_t capacity_;
+  std::vector<Capability> slots_;  // grows to the high-water mark of top_
   uint64_t base_ = 0;
   uint64_t top_ = 0;
 };

@@ -1,18 +1,21 @@
 #include "hw/cache_model.h"
 
+#include <bit>
+
 #include "base/check.h"
 
 namespace dipc::hw {
 
 TagArray::TagArray(uint64_t size_bytes, uint32_t ways, uint64_t line_size) : ways_(ways) {
   DIPC_CHECK(ways > 0 && size_bytes >= ways * line_size);
-  sets_ = size_bytes / line_size / ways;
-  DIPC_CHECK(sets_ > 0);
-  slots_.resize(sets_ * ways_);
+  const uint64_t sets = size_bytes / line_size / ways;
+  DIPC_CHECK(std::has_single_bit(sets));
+  set_mask_ = sets - 1;
+  slots_.resize(sets * ways_);
 }
 
 bool TagArray::Touch(uint64_t line_addr) {
-  uint64_t set = line_addr % sets_;
+  uint64_t set = line_addr & set_mask_;
   Way* base = &slots_[set * ways_];
   ++clock_;
   Way* victim = base;
@@ -33,7 +36,7 @@ bool TagArray::Touch(uint64_t line_addr) {
 }
 
 bool TagArray::Contains(uint64_t line_addr) const {
-  uint64_t set = line_addr % sets_;
+  uint64_t set = line_addr & set_mask_;
   const Way* base = &slots_[set * ways_];
   for (uint32_t w = 0; w < ways_; ++w) {
     if (base[w].tag == line_addr) {
@@ -44,7 +47,7 @@ bool TagArray::Contains(uint64_t line_addr) const {
 }
 
 void TagArray::Invalidate(uint64_t line_addr) {
-  uint64_t set = line_addr % sets_;
+  uint64_t set = line_addr & set_mask_;
   Way* base = &slots_[set * ways_];
   for (uint32_t w = 0; w < ways_; ++w) {
     if (base[w].tag == line_addr) {
@@ -73,6 +76,7 @@ constexpr uint32_t kL3Ways = 16;
 
 CacheModel::CacheModel(uint32_t num_cpus, const CostModel& costs)
     : costs_(costs), l3_(kL3Size, kL3Ways) {
+  DIPC_CHECK(num_cpus < UINT8_MAX);  // owners are stored as cpu + 1 in a byte
   per_cpu_.reserve(num_cpus);
   for (uint32_t i = 0; i < num_cpus; ++i) {
     per_cpu_.push_back(PrivateLevels{TagArray(kL1Size, kL1Ways), TagArray(kL2Size, kL2Ways)});
@@ -89,10 +93,10 @@ sim::Duration CacheModel::Access(CpuId cpu, uint64_t addr, uint64_t size, bool i
   uint64_t last = (addr + size - 1) / kCacheLineSize;
   PrivateLevels& priv = per_cpu_[cpu];
   for (uint64_t line = first; line <= last; ++line) {
+    PageOwners* owners = OwnersOf(line / kLinesPerPage, is_write);
+    uint8_t* owner = owners == nullptr ? nullptr : &(*owners)[line % kLinesPerPage];
     // Cross-CPU transfer: another core wrote this line since we last held it.
-    auto owner_it = dirty_owner_.find(line);
-    bool remote_dirty =
-        owner_it != dirty_owner_.end() && owner_it->second != cpu + 1 && owner_it->second != 0;
+    bool remote_dirty = owner != nullptr && *owner != cpu + 1 && *owner != 0;
     if (remote_dirty) {
       priv.l1.Invalidate(line);
       priv.l2.Invalidate(line);
@@ -116,12 +120,25 @@ sim::Duration CacheModel::Access(CpuId cpu, uint64_t addr, uint64_t size, bool i
       ++stats_.mem_accesses;
     }
     if (is_write) {
-      dirty_owner_[line] = cpu + 1;
+      *owner = static_cast<uint8_t>(cpu + 1);
     } else if (remote_dirty) {
-      dirty_owner_[line] = 0;  // downgraded to shared/clean
+      *owner = 0;  // downgraded to shared/clean
     }
   }
   return total;
+}
+
+CacheModel::PageOwners* CacheModel::OwnersOf(uint64_t page, bool create) {
+  if (page == cached_page_ && (cached_owners_ != nullptr || !create)) {
+    return cached_owners_;
+  }
+  auto it = dirty_pages_.find(page);
+  if (it == dirty_pages_.end() && create) {
+    it = dirty_pages_.emplace(page, PageOwners{}).first;
+  }
+  cached_page_ = page;
+  cached_owners_ = it == dirty_pages_.end() ? nullptr : &it->second;
+  return cached_owners_;
 }
 
 void CacheModel::FlushPrivate(CpuId cpu) {

@@ -5,9 +5,21 @@
 // sizes) and the ≠CPU penalty of moving producer-written lines to a consumer.
 // It is not a full MESI simulator: we track, per line, which CPU last wrote
 // it, and charge a remote-transfer latency when another CPU touches it.
+//
+// Layout and invariants:
+//   - TagArray set counts are powers of two (the constructor checks it), so
+//     a set index is `line & mask`. Every geometry in use (L1/L2/L3, both
+//     TLB levels) qualifies.
+//   - Dirty ownership lives beside the tag arrays, not in them: a written
+//     line stays owned by its writer after eviction from every level, so a
+//     later read on another CPU still pays the remote transfer. The table is
+//     page-granular, one 64-entry owner array per 4 KiB physical page that
+//     was ever written, and Access caches the last page it looked up, so a
+//     run of lines on one page costs one table probe.
 #ifndef DIPC_HW_CACHE_MODEL_H_
 #define DIPC_HW_CACHE_MODEL_H_
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -18,7 +30,8 @@
 
 namespace dipc::hw {
 
-// One set-associative tag array with LRU replacement.
+// One set-associative tag array with LRU replacement. The set count
+// (size_bytes / line_size / ways) must be a power of two.
 class TagArray {
  public:
   TagArray(uint64_t size_bytes, uint32_t ways, uint64_t line_size = kCacheLineSize);
@@ -39,9 +52,9 @@ class TagArray {
     uint64_t lru = 0;
   };
 
-  uint64_t sets_;
+  uint64_t set_mask_;  // sets - 1
   uint32_t ways_;
-  std::vector<Way> slots_;  // sets_ * ways_
+  std::vector<Way> slots_;  // sets * ways_
   uint64_t clock_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
@@ -76,11 +89,21 @@ class CacheModel {
     TagArray l2;
   };
 
+  static constexpr uint64_t kLinesPerPage = kPageSize / kCacheLineSize;
+  // Per line of one page: the CPU that last wrote it (+1; 0 = clean/none).
+  using PageOwners = std::array<uint8_t, kLinesPerPage>;
+
+  // Owner array of physical page `page`, or nullptr if no line of it was
+  // ever written and `create` is false.
+  PageOwners* OwnersOf(uint64_t page, bool create);
+
   const CostModel& costs_;
   std::vector<PrivateLevels> per_cpu_;
   TagArray l3_;
-  // line -> CPU that last wrote it (+1; 0 = clean/none).
-  std::unordered_map<uint64_t, uint32_t> dirty_owner_;
+  // page -> owner array. Node-based, so cached_owners_ survives rehashing.
+  std::unordered_map<uint64_t, PageOwners> dirty_pages_;
+  uint64_t cached_page_ = UINT64_MAX;
+  PageOwners* cached_owners_ = nullptr;
   CacheStats stats_;
 };
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
+#include <vector>
 
 #include "base/thread_annotations.h"
 #include "obs/metric_schema.h"
@@ -316,19 +316,20 @@ void ChargeDomainTime(uint32_t domain_tag, DomainTimeKind kind, int64_t ps) {
   if (ps <= 0 || kind >= DomainTimeKind::kCount) {
     return;
   }
-  // Cached (tag, kind) -> {counter handle, sub-ns remainder}. The remainder
+  // (tag, kind) -> {counter handle, sub-ns remainder}. The remainder
   // survives Registry::Reset on purpose: it is residue below the counter's
   // unit, not a value a series window could meaningfully claim.
   struct Slot {
     Counter* counter = nullptr;
     int64_t remainder_ps = 0;
   };
-  static std::mutex* mu = new std::mutex();
-  static std::map<uint64_t, Slot>* slots = new std::map<uint64_t, Slot>();
-  const uint64_t key =
-      (static_cast<uint64_t>(domain_tag) << 8) | static_cast<uint64_t>(kind);
-  std::lock_guard<std::mutex> lock(*mu);
-  Slot& s = (*slots)[key];
+  constexpr size_t kKinds = static_cast<size_t>(DomainTimeKind::kCount);
+  thread_local std::vector<Slot> slots;
+  const size_t index = static_cast<size_t>(domain_tag) * kKinds + static_cast<size_t>(kind);
+  if (index >= slots.size()) {
+    slots.resize((static_cast<size_t>(domain_tag) + 1) * kKinds);
+  }
+  Slot& s = slots[index];
   if (s.counter == nullptr) {
     s.counter = Registry::Default().GetCounter("domain/" + std::to_string(domain_tag) +
                                                "/time_ns/" + DomainTimeKindName(kind));

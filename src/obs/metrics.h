@@ -222,6 +222,12 @@ const char* DomainTimeKindName(DomainTimeKind kind);
 // "domain/<tag>/time_ns/<kind>". Counters hold nanoseconds; sub-ns residue
 // carries over per (tag, kind) so long runs don't systematically truncate
 // (the acceptance bound joins these sums against wall sim-time at 5%).
+//
+// The (tag, kind) state is a flat table indexed by tag * kCount + kind,
+// confined to the calling host thread (no lock): a simulation runs on one
+// thread, and each thread carries its own remainders. Tags must be dense
+// small integers, as AplTable::AllocateTag hands them out; the table grows
+// to the largest tag charged.
 void ChargeDomainTime(uint32_t domain_tag, DomainTimeKind kind, int64_t ps);
 #else
 inline void ChargeDomainTime(uint32_t, DomainTimeKind, int64_t) {}

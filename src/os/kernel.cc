@@ -81,7 +81,7 @@ void Kernel::KillThread(Thread& t) {
 
 void Kernel::SpendAwaiter::await_suspend(std::coroutine_handle<> h) {
   // The CPU stays assigned to the thread; we just advance virtual time.
-  kernel->machine_.events().ScheduleAfter(d, [h] { h.resume(); });
+  kernel->machine_.events().ScheduleResumeAfter(d, h);
 }
 
 void Kernel::BlockAwaiter::await_suspend(std::coroutine_handle<> h) {

@@ -6,45 +6,102 @@
 
 namespace dipc::sim {
 
-EventId EventQueue::ScheduleAt(Time t, std::function<void()> fn) {
+EventId EventQueue::Push(Time t, uint32_t& slot) {
   DIPC_CHECK(t >= now_);
-  DIPC_CHECK(fn != nullptr);
-  EventId id = next_id_++;
-  heap_.push(Entry{t, next_seq_++, id});
-  actions_.emplace(id, std::move(fn));
+  if (free_head_ != kNoFreeSlot) {
+    slot = free_head_;
+    free_head_ = slots_[slot].next_free;
+  } else {
+    DIPC_CHECK(slots_.size() < kNoFreeSlot);
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  const uint32_t gen = slots_[slot].gen;
+  heap_.push(Entry{t, next_seq_++, slot, gen});
   ++live_count_;
+  return (static_cast<EventId>(gen) << 32) | slot;
+}
+
+void EventQueue::Release(uint32_t slot) {
+  Slot& s = slots_[slot];
+  if (++s.gen == 0) {
+    s.gen = 1;  // keep ids nonzero across wrap-around
+  }
+  s.next_free = free_head_;
+  free_head_ = slot;
+}
+
+EventId EventQueue::ScheduleAt(Time t, std::function<void()> fn) {
+  DIPC_CHECK(fn != nullptr);
+  uint32_t slot;
+  EventId id = Push(t, slot);
+  slots_[slot].fn = std::move(fn);
+  return id;
+}
+
+EventId EventQueue::ScheduleResumeAt(Time t, std::coroutine_handle<> h) {
+  DIPC_CHECK(h != nullptr);
+  uint32_t slot;
+  EventId id = Push(t, slot);
+  slots_[slot].resume = h;
   return id;
 }
 
 bool EventQueue::Cancel(EventId id) {
-  auto it = actions_.find(id);
-  if (it == actions_.end()) {
+  const auto slot = static_cast<uint32_t>(id);
+  const auto gen = static_cast<uint32_t>(id >> 32);
+  // A released slot's generation was bumped past every id issued for it, and
+  // no generation is 0, so kInvalidEventId never matches either.
+  if (slot >= slots_.size() || slots_[slot].gen != gen) {
     return false;
   }
-  actions_.erase(it);  // heap entry becomes a tombstone, skipped in RunOne
+  Slot& s = slots_[slot];
+  s.resume = nullptr;
+  s.fn = nullptr;  // heap entry becomes a tombstone, skipped in RunOne
+  Release(slot);
   --live_count_;
   return true;
 }
 
-bool EventQueue::RunOne() {
+bool EventQueue::SkipCancelled() {
   while (!heap_.empty()) {
-    Entry top = heap_.top();
-    auto it = actions_.find(top.id);
-    if (it == actions_.end()) {
-      heap_.pop();  // cancelled
-      continue;
+    const Entry& top = heap_.top();
+    if (slots_[top.slot].gen == top.gen) {
+      return true;
     }
     heap_.pop();
-    std::function<void()> fn = std::move(it->second);
-    actions_.erase(it);
-    --live_count_;
-    DIPC_CHECK(top.at >= now_);
-    now_ = top.at;
-    ++fired_count_;
-    fn();
-    return true;
   }
   return false;
+}
+
+bool EventQueue::RunOne() {
+  if (!SkipCancelled()) {
+    return false;
+  }
+  const Entry top = heap_.top();
+  heap_.pop();
+  // Take the action out before running it: it may schedule events, which can
+  // reuse this slot or grow the slab.
+  Slot& s = slots_[top.slot];
+  const std::coroutine_handle<> h = s.resume;
+  std::function<void()> fn;
+  if (h != nullptr) {
+    s.resume = nullptr;
+  } else {
+    fn = std::move(s.fn);
+    s.fn = nullptr;
+  }
+  Release(top.slot);
+  --live_count_;
+  DIPC_CHECK(top.at >= now_);
+  now_ = top.at;
+  ++fired_count_;
+  if (h != nullptr) {
+    h.resume();
+  } else {
+    fn();
+  }
+  return true;
 }
 
 uint64_t EventQueue::RunUntilIdle(uint64_t max_events) {
@@ -57,16 +114,7 @@ uint64_t EventQueue::RunUntilIdle(uint64_t max_events) {
 
 uint64_t EventQueue::RunUntil(Time deadline) {
   uint64_t n = 0;
-  while (!heap_.empty()) {
-    // Peek past tombstones to find the next live event time.
-    Entry top = heap_.top();
-    if (actions_.find(top.id) == actions_.end()) {
-      heap_.pop();
-      continue;
-    }
-    if (top.at > deadline) {
-      break;
-    }
+  while (SkipCancelled() && heap_.top().at <= deadline) {
     RunOne();
     ++n;
   }

@@ -2,13 +2,27 @@
 //
 // Events scheduled for the same instant fire in scheduling order, which keeps
 // whole-system runs deterministic (a requirement for reproducible benchmarks).
+//
+// Layout and invariants:
+//   - Every pending event owns one slot of a slab. A slot is recycled through
+//     a free list as soon as its event fires or is cancelled, and each
+//     recycle bumps the slot's generation.
+//   - An EventId packs (generation, slot), so a stale id (its event already
+//     fired or was cancelled, its slot maybe reused) never matches and
+//     Cancel returns false for it instead of cancelling a stranger.
+//   - The min-heap holds {at, seq, slot, gen}, ordered by (at, seq); seq is
+//     unique per schedule, so firing order does not depend on slot reuse.
+//     Cancel leaves the heap entry behind as a tombstone (its generation no
+//     longer matches its slot) that RunOne and RunUntil skip.
+//   - A slot holds either a coroutine handle (ScheduleResume*: resuming it
+//     allocates nothing) or a std::function, never both.
 #ifndef DIPC_SIM_EVENT_QUEUE_H_
 #define DIPC_SIM_EVENT_QUEUE_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.h"
@@ -34,6 +48,13 @@ class EventQueue {
     return ScheduleAt(now_ + d, std::move(fn));
   }
 
+  // Schedules `h.resume()` at absolute time `t` / `d` after now(). Same
+  // ordering and cancellation as the std::function flavor.
+  EventId ScheduleResumeAt(Time t, std::coroutine_handle<> h);
+  EventId ScheduleResumeAfter(Duration d, std::coroutine_handle<> h) {
+    return ScheduleResumeAt(now_ + d, h);
+  }
+
   // Cancels a pending event. Returns false if it already fired or was cancelled.
   bool Cancel(EventId id);
 
@@ -52,10 +73,17 @@ class EventQueue {
   uint64_t total_fired() const { return fired_count_; }
 
  private:
+  struct Slot {
+    std::coroutine_handle<> resume;
+    std::function<void()> fn;
+    uint32_t gen = 1;  // bumped on every release; never 0, so no id is 0
+    uint32_t next_free = 0;
+  };
   struct Entry {
     Time at;
     uint64_t seq;  // tie-breaker: FIFO among same-time events
-    EventId id;
+    uint32_t slot;
+    uint32_t gen;
     // Ordered as a min-heap via std::greater.
     bool operator>(const Entry& other) const {
       if (at != other.at) {
@@ -64,12 +92,20 @@ class EventQueue {
       return seq > other.seq;
     }
   };
+  static constexpr uint32_t kNoFreeSlot = UINT32_MAX;
+
+  // Takes a free slot and pushes its heap entry; the caller fills the action.
+  EventId Push(Time t, uint32_t& slot);
+  // Returns `slot` to the free list and bumps its generation.
+  void Release(uint32_t slot);
+  // Pops tombstones; true if the heap top is now a live event.
+  bool SkipCancelled();
 
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  std::unordered_map<EventId, std::function<void()>> actions_;
+  std::vector<Slot> slots_;
+  uint32_t free_head_ = kNoFreeSlot;
   Time now_;
   uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
   uint64_t live_count_ = 0;
   uint64_t fired_count_ = 0;
 };

@@ -354,6 +354,58 @@ TEST_F(CapTest, DcsBaseHidesCallerEntries) {
   EXPECT_TRUE(ctx_.dcs.Pop().ok());
 }
 
+// A capability whose fields all depend on `i`, so a mixed-up slot shows.
+Capability NumberedCap(uint64_t i) {
+  Capability c;
+  c.base = 0x10000 + i * 64;
+  c.size = 64 + i;
+  c.rights = Perm::kRead;
+  c.owner_thread = i;
+  c.create_depth = static_cast<uint32_t>(i % 7);
+  return c;
+}
+
+TEST(Dcs, DefaultBoundIs1024Entries) {
+  Dcs dcs;
+  for (uint64_t i = 0; i < 1024; ++i) {
+    ASSERT_TRUE(dcs.Push(NumberedCap(i)).ok()) << "push " << i;
+  }
+  EXPECT_EQ(dcs.Push(NumberedCap(1024)).code(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(dcs.top(), 1024u);
+  auto top = dcs.Pop();
+  ASSERT_TRUE(top.ok());
+  EXPECT_EQ(top->base, NumberedCap(1023).base);
+  EXPECT_TRUE(dcs.Push(NumberedCap(1023)).ok());  // room again after a pop
+}
+
+TEST(Dcs, TruncateThenPushReusesSlots) {
+  Dcs dcs;
+  for (uint64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(dcs.Push(NumberedCap(i)).ok());
+  }
+  dcs.TruncateTo(10);
+  EXPECT_EQ(dcs.top(), 10u);
+  for (uint64_t i = 100; i < 120; ++i) {
+    ASSERT_TRUE(dcs.Push(NumberedCap(i)).ok());
+  }
+  EXPECT_EQ(dcs.top(), 30u);
+  // Pops return the new pushes (not the truncated entries), then the old.
+  for (uint64_t i = 120; i-- > 100;) {
+    auto c = dcs.Pop();
+    ASSERT_TRUE(c.ok());
+    EXPECT_EQ(c->base, NumberedCap(i).base);
+    EXPECT_EQ(c->size, NumberedCap(i).size);
+    EXPECT_EQ(c->owner_thread, i);
+  }
+  for (uint64_t i = 10; i-- > 0;) {
+    auto c = dcs.Pop();
+    ASSERT_TRUE(c.ok());
+    EXPECT_EQ(c->owner_thread, i);
+    EXPECT_EQ(c->create_depth, NumberedCap(i).create_depth);
+  }
+  EXPECT_EQ(dcs.Pop().code(), ErrorCode::kPermissionDenied);
+}
+
 class CapStorageTest : public Figure4Test {
  protected:
   CapStorageTest() {

@@ -92,6 +92,47 @@ TEST_F(CacheModelTest, FlushPrivateForcesRefill) {
   EXPECT_EQ(d, costs_.l3_hit);
 }
 
+// Reads, from `cpu`, 32 lines that share `line_addr`'s set at every level
+// (the stride is the L3 set count), evicting it from L1, L2 and L3.
+void SweepSetOf(CacheModel& caches, CpuId cpu, uint64_t line_addr) {
+  constexpr uint64_t kL3SetStride = 8192 * kCacheLineSize;  // 8 MiB / 16 ways / 64 B
+  for (uint64_t k = 1; k <= 32; ++k) {
+    caches.Access(cpu, line_addr + k * kL3SetStride, kCacheLineSize, /*is_write=*/false);
+  }
+}
+
+TEST_F(CacheModelTest, SweepEvictsFromEveryLevel) {
+  // Control for the test below: a clean line swept out of every level is
+  // back to a DRAM access.
+  caches_.Access(0, 0x40000, 64, /*is_write=*/false);
+  SweepSetOf(caches_, 0, 0x40000);
+  EXPECT_EQ(caches_.Access(1, 0x40000, 64, false), costs_.mem_access);
+}
+
+TEST_F(CacheModelTest, DirtyOwnerOutlivesEviction) {
+  // CPU 0 writes a line, then its set is swept out of every level. The
+  // write is still CPU 0's: CPU 1's read pays the remote transfer.
+  caches_.Access(0, 0x40000, 64, /*is_write=*/true);
+  SweepSetOf(caches_, 0, 0x40000);
+  EXPECT_EQ(caches_.Access(1, 0x40000, 64, false), costs_.remote_transfer);
+  EXPECT_EQ(caches_.stats().remote_transfers, 1u);
+  // That read downgraded the line to clean: CPU 0 reading it again is an
+  // L3 hit (its private copies were swept), not another remote transfer.
+  EXPECT_EQ(caches_.Access(0, 0x40000, 64, false), costs_.l3_hit);
+  EXPECT_EQ(caches_.stats().remote_transfers, 1u);
+}
+
+TEST_F(CacheModelTest, WriteAcrossPageBoundaryOwnsEveryLine) {
+  // Two lines on each side of a page boundary.
+  caches_.Access(0, 0x5000 - 128, 256, /*is_write=*/true);
+  EXPECT_EQ(caches_.Access(1, 0x5000 - 128, 256, false), costs_.remote_transfer * 4);
+  EXPECT_EQ(caches_.Access(1, 0x5000 + 128, 64, false), costs_.mem_access);  // never written
+}
+
+TEST(TagArrayDeathTest, RejectsNonPowerOfTwoSetCount) {
+  EXPECT_DEATH(TagArray(3 * 2 * 64, 2, 64), "DIPC_CHECK failed");  // 3 sets
+}
+
 TEST(TlbModel, MissThenHit) {
   CostModel costs;
   TlbModel tlb(costs);

@@ -585,5 +585,33 @@ TEST(ObsDomainTime, DomainCpuTimeSumsMatchBusyAccounting) {
   EXPECT_NE(snap.find("\"os/sched/cpu0/runq_depth\""), std::string::npos);
 }
 
+// The sub-ns carry is per (tag, kind): three 400 ps charges make exactly
+// 1 ns on one counter, and charges to another tag or kind never complete
+// each other's nanosecond.
+TEST(ObsDomainTime, SubNanosecondRemainderIsPerTagAndKind) {
+#ifdef DIPC_OBS_OFF
+  GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
+#endif
+  Registry& reg = Registry::Default();
+  Counter* a = reg.GetCounter("domain/900/time_ns/user");
+  Counter* b = reg.GetCounter("domain/901/time_ns/user");
+  Counter* a_kernel = reg.GetCounter("domain/900/time_ns/kernel");
+  const uint64_t a0 = a->value();
+  const uint64_t b0 = b->value();
+  const uint64_t k0 = a_kernel->value();
+  ChargeDomainTime(900, DomainTimeKind::kUser, 400);
+  ChargeDomainTime(901, DomainTimeKind::kUser, 400);
+  ChargeDomainTime(900, DomainTimeKind::kKernel, 400);
+  ChargeDomainTime(900, DomainTimeKind::kUser, 400);
+  EXPECT_EQ(a->value(), a0);  // 800 ps on (900, user): no whole ns yet
+  ChargeDomainTime(900, DomainTimeKind::kUser, 400);
+  EXPECT_EQ(a->value(), a0 + 1);  // 1200 ps: 1 ns, 200 ps carried
+  EXPECT_EQ(b->value(), b0);
+  EXPECT_EQ(a_kernel->value(), k0);
+  ChargeDomainTime(901, DomainTimeKind::kUser, 600);
+  EXPECT_EQ(b->value(), b0 + 1);  // 400 + 600 ps on tag 901 alone
+  EXPECT_EQ(a->value(), a0 + 1);
+}
+
 }  // namespace
 }  // namespace dipc::obs

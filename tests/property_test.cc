@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "codoms/codoms.h"
@@ -183,6 +185,51 @@ TEST_P(EventQueueProperty, TimeNeverRunsBackwards) {
   }
   q.RunUntilIdle();
   EXPECT_TRUE(std::is_sorted(fire_times.begin(), fire_times.end()));
+  EXPECT_TRUE(q.empty());
+}
+
+// Random schedule/cancel/run sequences against a reference model: a
+// std::multimap keyed by (at, seq). The queue must fire exactly the model's
+// minimum each step and agree on every Cancel result, stale ids included.
+TEST_P(EventQueueProperty, MatchesOrderedMapReference) {
+  sim::EventQueue q;
+  Rng rng(GetParam());
+  using Key = std::pair<int64_t, uint64_t>;  // (at ps, schedule order)
+  std::multimap<Key, int> model;
+  std::vector<std::pair<sim::EventId, Key>> issued;
+  std::vector<int> fired;
+  uint64_t seq = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t op = rng.UniformInt(0, 9);
+    if (op < 5) {
+      // Few distinct delays, so same-time ties are common.
+      const sim::Time at = q.now() + Duration::Nanos(rng.UniformInt(0, 8));
+      const int label = i;
+      sim::EventId id = q.ScheduleAt(at, [&fired, label] { fired.push_back(label); });
+      const Key key{at.picos(), seq++};
+      model.emplace(key, label);
+      issued.emplace_back(id, key);
+    } else if (op < 7 && !issued.empty()) {
+      const auto& [id, key] = issued[rng.UniformInt(0, issued.size() - 1)];
+      const bool live = model.erase(key) > 0;
+      ASSERT_EQ(q.Cancel(id), live) << "step " << i;
+    } else {
+      const bool ran = q.RunOne();
+      ASSERT_EQ(ran, !model.empty()) << "step " << i;
+      if (ran) {
+        ASSERT_EQ(fired.back(), model.begin()->second) << "step " << i;
+        ASSERT_EQ(q.now().picos(), model.begin()->first.first);
+        model.erase(model.begin());
+      }
+    }
+    ASSERT_EQ(q.pending(), model.size());
+  }
+  while (!model.empty()) {
+    ASSERT_TRUE(q.RunOne());
+    ASSERT_EQ(fired.back(), model.begin()->second);
+    model.erase(model.begin());
+  }
+  EXPECT_FALSE(q.RunOne());
   EXPECT_TRUE(q.empty());
 }
 

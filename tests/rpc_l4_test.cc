@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "codoms/codoms.h"
 #include "hw/machine.h"
@@ -233,7 +234,9 @@ TEST_F(IpcStackTest, L4MultipleCallersServedFifo) {
   });
   std::vector<uint64_t> replies;
   for (int i = 1; i <= 3; ++i) {
-    kernel_.Spawn(cp, "c" + std::to_string(i), [&, gate, i](os::Env env) -> sim::Task<void> {
+    std::string name = "c";
+    name += std::to_string(i);
+    kernel_.Spawn(cp, std::move(name), [&, gate, i](os::Env env) -> sim::Task<void> {
       l4::Message m;
       m.mr[0] = static_cast<uint64_t>(i);
       auto r = co_await gate->Call(env, m);

@@ -107,6 +107,92 @@ TEST(EventQueue, EventsCanScheduleEvents) {
   EXPECT_EQ(q.now().nanos(), 5.0);
 }
 
+TEST(EventQueue, CancelAfterFireReturnsFalse) {
+  EventQueue q;
+  int fired = 0;
+  EventId id = q.ScheduleAfter(Duration::Nanos(10), [&] { ++fired; });
+  q.RunUntilIdle();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(q.Cancel(id));
+  EXPECT_FALSE(q.Cancel(kInvalidEventId));
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueue, StaleIdCannotCancelReusedSlot) {
+  EventQueue q;
+  std::vector<int> fired;
+  // Cancelled: the next schedule reuses its slot.
+  EventId cancelled = q.ScheduleAfter(Duration::Nanos(10), [&] { fired.push_back(1); });
+  ASSERT_TRUE(q.Cancel(cancelled));
+  EventId second = q.ScheduleAfter(Duration::Nanos(10), [&] { fired.push_back(2); });
+  EXPECT_NE(second, cancelled);
+  EXPECT_FALSE(q.Cancel(cancelled));
+  q.RunUntilIdle();
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+  // Fired: the next schedule reuses its slot again.
+  EventId third = q.ScheduleAfter(Duration::Nanos(10), [&] { fired.push_back(3); });
+  EXPECT_FALSE(q.Cancel(second));
+  EXPECT_FALSE(q.Cancel(cancelled));
+  EXPECT_EQ(q.pending(), 1u);
+  q.RunUntilIdle();
+  EXPECT_EQ(fired, (std::vector<int>{2, 3}));
+  EXPECT_FALSE(q.Cancel(third));
+}
+
+// Parks at its first suspension point; the resume records `tag`.
+Task<void> RecordOnResume(std::vector<int>* order, int tag, std::coroutine_handle<>* parked) {
+  co_await SuspendTo([parked](std::coroutine_handle<> h) { *parked = h; });
+  order->push_back(tag);
+}
+
+TEST(EventQueue, SameTimeFifoAcrossSlotReuseAndMixedEntries) {
+  EventQueue q;
+  std::vector<int> order;
+  // Fill and free a few slots so the same-time events below land in reused
+  // slots, in the free list's (reverse) order rather than scheduling order.
+  std::vector<EventId> scratch;
+  for (int i = 0; i < 5; ++i) {
+    scratch.push_back(q.ScheduleAfter(Duration::Nanos(1), [&] { order.push_back(-1); }));
+  }
+  for (EventId id : scratch) {
+    ASSERT_TRUE(q.Cancel(id));
+  }
+  // Odd tags resume a parked coroutine, even tags run a std::function.
+  std::vector<Task<void>> tasks;
+  std::vector<std::coroutine_handle<>> handles(8);
+  for (int i = 0; i < 8; ++i) {
+    const Time at = Time::Zero() + Duration::Nanos(5);
+    if (i % 2 == 0) {
+      q.ScheduleAt(at, [&order, i] { order.push_back(i); });
+      continue;
+    }
+    tasks.push_back(RecordOnResume(&order, i, &handles[i]));
+    tasks.back().Start();
+    ASSERT_TRUE(handles[i] != nullptr);
+    q.ScheduleResumeAt(at, handles[i]);
+  }
+  EXPECT_EQ(q.pending(), 8u);
+  q.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  for (const Task<void>& t : tasks) {
+    EXPECT_TRUE(t.done());
+  }
+}
+
+TEST(EventQueue, CancelledResumeDoesNotResume) {
+  EventQueue q;
+  std::vector<int> order;
+  std::coroutine_handle<> parked;
+  Task<void> t = RecordOnResume(&order, 1, &parked);
+  t.Start();
+  EventId id = q.ScheduleResumeAfter(Duration::Nanos(3), parked);
+  EXPECT_TRUE(q.Cancel(id));
+  q.RunUntilIdle();
+  EXPECT_TRUE(order.empty());
+  EXPECT_FALSE(t.done());
+  EXPECT_EQ(q.total_fired(), 0u);
+}
+
 // --- Task / coroutine tests ---
 
 Task<int> ReturnsValue() { co_return 42; }
