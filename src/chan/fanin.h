@@ -1,243 +1,158 @@
-// M-producer / one-consumer fan-in channels with per-producer capability
-// grants and per-producer credit lines.
+// M-producer / one-consumer fan-in channels: the Mx1 view of the channel
+// plane (chan/plane.h).
 //
-// The mirror image of FanOutChannel (fanout.h): the paper's server tiers
-// are fed from many client domains at once, so the descriptor plane needs
-// the N->1 shape — many producers publishing into one consumer's FIFO —
-// with the same zero-copy ownership-transfer semantics as Channel:
+// The paper's server tiers are fed from many client domains at once, so the
+// plane also needs the N->1 shape: many producers publishing into one
+// consumer's FIFO (an MpmcQueue, natively multi-producer). Each producer
+// holds its own epoch-rebindable write capability per slot, tagged with its
+// own RevocationTable owner key, so a dead producer is excised individually:
+// its acquired-but-unsent slots return to the pool, its published messages
+// stay deliverable (the payload is immutable and consumer-owned by then),
+// and the group keeps flowing. The consumer's death breaks the channel.
 //
-//   - Message buffers live in one data domain shared by the group; the
-//     descriptor FIFO is a single MpmcQueue (natively multi-producer), so
-//     the consumer drains one ring no matter how many producers feed it.
-//   - Each producer holds its *own* epoch-rebindable write capability per
-//     slot (its own revocation counters, tagged with a per-producer owner
-//     key in the RevocationTable). Revoking one producer never touches
-//     another's grants: a dead producer is excised individually via the
-//     core::Dipc death hook — its acquired-but-unsent slots return to the
-//     pool, its published messages stay deliverable (the payload is
-//     immutable and consumer-owned by then) — and the group keeps flowing.
-//   - Flow control is credit-based *per producer*: each producer starts
-//     with `credits` admission credits, AcquireBuf consumes one per slot,
-//     the consumer's ReleaseBatch returns them. One greedy (or dead)
-//     producer can therefore pin at most its own credit line of the shared
-//     pool and can never starve or wedge the rest of the group.
-//   - The consumer's read capabilities are epoch-rebindable per slot and
-//     tagged with a consumer owner key; consumer death breaks the whole
-//     channel (there is nobody left to deliver to).
-//
-// RebindProducer mirrors FanOutChannel::RebindReceiver: a supervisor can
-// splice a fresh process into a dead producer slot — fresh owner key,
-// cleared capability templates, a full credit line, APL grants — without
-// disturbing in-flight traffic from the other producers.
+// Flow control is credit-based *per producer*: AcquireBuf takes one
+// admission credit per slot and the slot's return to the pool refunds it,
+// so one greedy (or dead) producer can pin at most its own credit line of
+// the shared pool and never starve the rest of the group.
 #ifndef DIPC_CHAN_FANIN_H_
 #define DIPC_CHAN_FANIN_H_
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "base/result.h"
-#include "chan/channel.h"
-#include "chan/mpmc_queue.h"
-#include "chan/segment.h"
-#include "codoms/capability.h"
+#include "chan/plane.h"
 #include "dipc/dipc.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "os/deadline.h"
 #include "os/kernel.h"
 #include "sim/task.h"
 
 namespace dipc::chan {
 
-struct FanInConfig {
-  uint32_t slots = 8;            // in-flight message buffers (shared pool)
-  uint64_t buf_bytes = 1 << 16;  // payload capacity per buffer
-  // Per-producer credit line (0 = slots). A producer can hold at most this
-  // many slots of the shared pool at once (acquired or unreleased), which is
-  // what keeps one flooding producer from starving the rest — set it below
-  // `slots` whenever producers are mutually untrusted.
-  uint32_t credits = 0;
-  // Optional shared domain-tag trio (see ChannelConfig).
-  hw::DomainTag ctrl_tag = hw::kInvalidDomainTag;
-  hw::DomainTag data_tag = hw::kInvalidDomainTag;
-  hw::DomainTag rt_tag = hw::kInvalidDomainTag;
-};
+// `credits` is the per-producer credit line (0 = slots).
+using FanInConfig = PlaneConfig;
 
-class FanInChannel : public std::enable_shared_from_this<FanInChannel> {
+class FanInChannel {
  public:
-  static constexpr uint32_t kSenderCapReg = Channel::kSenderCapReg;
-  static constexpr uint32_t kReceiverCapReg = Channel::kReceiverCapReg;
+  static constexpr uint32_t kSenderCapReg = Plane::kSenderCapReg;
+  static constexpr uint32_t kReceiverCapReg = Plane::kReceiverCapReg;
 
   // Creates a {producers} -> consumer fan-in channel in `dipc`'s global VAS
   // and registers dead-peer teardown for every endpoint process.
   static base::Result<std::shared_ptr<FanInChannel>> Create(
       core::Dipc& dipc, std::span<os::Process* const> producers, os::Process& consumer,
-      FanInConfig cfg = {});
+      FanInConfig cfg = {}) {
+    os::Process* rx[] = {&consumer};
+    return Plane::Create<FanInChannel>(dipc, Gate::kAdmission, producers, rx, cfg);
+  }
 
   // ---- Producer side (every call names the producer index) ----
 
-  // Credit-gated batched acquire: blocks until producer `p` has admission
-  // credit, then pops up to min(max_n, credits) free buffers and grants p's
-  // write capabilities (epoch rebind on the warm path). A finite `deadline`
-  // bounds both the credit wait and the free-pool pop with kTimedOut (no
-  // credits consumed and no grants held on a timeout).
+  // Credit-gated acquire: blocks until producer `p` has admission credit,
+  // then pops up to min(max_n, credits) free buffers and grants p's write
+  // capabilities. A finite `deadline` bounds the credit wait and the pool
+  // pop with kTimedOut (no credits consumed, no grants held).
   sim::Task<base::Result<SendBuf>> AcquireBuf(os::Env env, uint32_t producer,
-                                              os::Deadline deadline = {});
+                                              os::Deadline deadline = {}) {
+    return plane_.AcquireOne(env, producer, deadline);
+  }
   sim::Task<base::Result<std::vector<SendBuf>>> AcquireBufBatch(os::Env env, uint32_t producer,
                                                                 uint32_t max_n,
-                                                                os::Deadline deadline = {});
+                                                                os::Deadline deadline = {}) {
+    return plane_.Acquire(env, producer, max_n, deadline);
+  }
 
   // Publish: the consumer gets a read-only capability over the (immutable)
-  // payload; the producer's write ownership ends before the consumer can
-  // observe the descriptor. Never blocks for queue space (admission credit
-  // was already paid at acquire). Fails with kCalleeFailed once the consumer
-  // is gone.
-  //
-  // Ownership contract on failure: while broken() == kOk the producer still
-  // owns every buffer of a failed send and may retry or hand it back with
-  // AbandonBufBatch. Once broken() != kOk teardown has already swept the
-  // grants and the buffers are gone with the channel.
+  // payload. Never blocks for queue space (admission was paid at acquire).
+  // While broken() == kOk a failed send leaves the producer owning every
+  // buffer (retry, or Abandon); kCalleeFailed once the consumer is gone.
   sim::Task<base::Status> Send(os::Env env, uint32_t producer, const SendBuf& buf,
-                               uint64_t len);
+                               uint64_t len) {
+    return plane_.PublishOne(env, producer, buf, len, 0, {});
+  }
   sim::Task<base::Status> SendBatch(os::Env env, uint32_t producer,
-                                    std::span<const SendItem> items);
+                                    std::span<const SendItem> items) {
+    return plane_.Publish(env, producer, items, 0, {});
+  }
 
-  // Returns acquired-but-unsent buffers to the free pool (revoking the write
+  // Returns acquired-but-unsent buffers to the pool (revoking the write
   // grants and refunding the admission credits).
-  sim::Task<base::Status> AbandonBuf(os::Env env, uint32_t producer, const SendBuf& buf);
-  sim::Task<base::Status> AbandonBufBatch(os::Env env, uint32_t producer,
-                                          std::span<const SendBuf> bufs);
+  sim::Task<base::Status> Abandon(os::Env env, uint32_t producer, const SendBuf& buf) {
+    return plane_.Abandon(env, producer, std::span(&buf, 1));
+  }
+  sim::Task<base::Status> AbandonBatch(os::Env env, uint32_t producer,
+                                       std::span<const SendBuf> bufs) {
+    return plane_.Abandon(env, producer, bufs);
+  }
 
-  void BindSendCap(os::Thread& t, const SendBuf& buf) const;
+  void BindSendCap(os::Thread& t, const SendBuf& buf) const { plane_.BindSendCap(t, buf); }
 
   // Orderly shutdown: the consumer drains, then sees kBrokenChannel.
-  void Close();
+  void Close() { plane_.Close(); }
 
   // ---- Consumer side ----
 
-  sim::Task<base::Result<Msg>> Recv(os::Env env, os::Deadline deadline = {});
+  sim::Task<base::Result<Msg>> Recv(os::Env env, os::Deadline deadline = {}) {
+    return plane_.RecvOne(env, 0, deadline);
+  }
   sim::Task<base::Result<std::vector<Msg>>> RecvBatch(os::Env env, uint32_t max_n,
-                                                      os::Deadline deadline = {});
+                                                      os::Deadline deadline = {}) {
+    return plane_.Recv(env, 0, max_n, deadline);
+  }
 
-  // Returns the slot to the free pool and the admission credit to the
-  // producer that sent it (wake-suppressed credit wake, like fan-out).
-  sim::Task<base::Status> Release(os::Env env, const Msg& msg);
-  sim::Task<base::Status> ReleaseBatch(os::Env env, std::span<const Msg> msgs);
+  // Returns the slot to the pool and the admission credit to the producer
+  // that sent it.
+  sim::Task<base::Status> Release(os::Env env, const Msg& msg) {
+    return plane_.Release(env, 0, std::span(&msg, 1));
+  }
+  sim::Task<base::Status> ReleaseBatch(os::Env env, std::span<const Msg> msgs) {
+    return plane_.Release(env, 0, msgs);
+  }
 
-  void BindRecvCap(os::Thread& t, const Msg& msg) const;
+  void BindRecvCap(os::Thread& t, const Msg& msg) const { plane_.BindRecvCap(t, 0, msg); }
 
   // ---- Introspection ----
 
-  uint32_t producer_count() const { return static_cast<uint32_t>(producer_procs_.size()); }
-  uint32_t live_producer_count() const;
-  bool producer_alive(uint32_t p) const { return p < alive_.size() && alive_[p]; }
-  uint32_t credit_line() const { return credit_line_; }
-  uint64_t credits(uint32_t p) const { return credits_[p]; }
-  // RevocationTable owner key of producer p's write grants (test support).
-  uint64_t producer_owner(uint32_t p) const { return owner_key_[p]; }
-  // RevocationTable owner key of the consumer's read grants.
-  uint64_t consumer_owner() const { return consumer_owner_key_; }
-  const FanInConfig& config() const { return cfg_; }
-  base::ErrorCode broken() const { return broken_; }
-  uint64_t sends() const { return sends_; }
-  uint64_t recvs() const { return recvs_; }
-  uint64_t cold_mints() const { return cold_mints_; }
-  uint64_t blocked_on_credit() const { return blocked_on_credit_; }
-  uint64_t LiveGrantCount() const;
-  hw::VirtAddr buf_va(uint32_t index) const { return data_seg_.base + index * buf_stride_; }
+  uint32_t producer_count() const { return plane_.tx_count(); }
+  uint32_t live_producer_count() const { return plane_.live_count(Side::kTx); }
+  bool producer_alive(uint32_t p) const { return p < producer_count() && plane_.tx(p).alive; }
+  uint32_t credit_line() const { return plane_.credit_line(); }
+  uint64_t credits(uint32_t p) const { return plane_.tx(p).credits; }
+  // RevocationTable owner keys of producer p's write grants and of the
+  // consumer's read grants (test support).
+  uint64_t producer_owner(uint32_t p) const { return plane_.tx(p).key; }
+  uint64_t consumer_owner() const { return plane_.rx(0).key; }
+  const FanInConfig& config() const { return plane_.config(); }
+  base::ErrorCode broken() const { return plane_.broken(); }
+  uint64_t sends() const { return plane_.sends(); }
+  uint64_t recvs() const { return plane_.recvs(); }
+  uint64_t cold_mints() const { return plane_.cold_mints(); }
+  uint64_t blocked_on_credit() const { return plane_.blocked_on_credit(); }
+  uint64_t LiveGrantCount() const { return plane_.LiveGrantCount(); }
+  hw::VirtAddr buf_va(uint32_t index) const { return plane_.buf_va(index); }
+  const Plane& plane() const { return plane_; }
   // Id under which this group's metrics ("fanin/<id>/...", per-producer
   // "tx/<p>/...") and trace events are attributed.
-  uint32_t obs_id() const { return obs_id_; }
+  uint32_t obs_id() const { return plane_.obs_id(); }
 
-  // Dead-peer teardown (fired via the core::Dipc death hook). A dead
-  // producer is excised individually; a dead consumer breaks the channel.
-  void OnProcessDeath(os::Process& proc);
+  // Dead-peer teardown (fired via the core::Dipc death hook).
+  void OnProcessDeath(os::Process& proc) { plane_.OnProcessDeath(proc); }
 
-  // Rebinds a dead producer slot to a fresh process (the supervisor's
-  // respawn path); mirrors FanOutChannel::RebindReceiver. The slot gets a
-  // fresh RevocationTable owner key, cleared write templates, a full credit
-  // line and APL grants for `proc`. Late releases of the dead incarnation's
-  // in-flight messages are detected by owner-key generation and do NOT
-  // refund the fresh incarnation's credits.
-  base::Status RebindProducer(uint32_t producer, os::Process& proc);
-
- private:
-  FanInChannel(core::Dipc& dipc, std::span<os::Process* const> producers,
-               os::Process& consumer, FanInConfig cfg);
-
-  // Waits (futex path) until producer `p` has `need` credits, the channel
-  // closes/breaks, or p itself is excised. Returns the error to surface, or
-  // kOk once admitted; kTimedOut when a finite deadline expires first.
-  sim::Task<base::ErrorCode> AwaitCredit(os::Env env, uint32_t p, uint64_t need,
-                                         os::Deadline deadline);
-  // Grant over slot `index`: kWrite mints/rebinds producer p's template
-  // (counter tagged with p's owner key); kRead the consumer's (tagged with
-  // the consumer owner key, `p` ignored).
-  base::Result<codoms::Capability> GrantCap(os::Env env, uint32_t index, uint32_t p,
-                                            codoms::Perm rights, sim::Duration* cost);
-  // Revokes the consumer's grant over `index`, recycles the slot and refunds
-  // the admission credit to the sending producer — unless that incarnation
-  // is gone (owner-key generation mismatch). Teardown-safe (no env).
-  void DropDelivery(uint32_t index, std::vector<uint64_t>* freed);
-  // Refunds `n` credits to producer p (gauge + waiter wake bookkeeping is
-  // the caller's).
-  void RefundCredits(uint32_t p, uint64_t n);
-
-  hw::VirtAddr CapSlotVa(uint32_t index) const {
-    return cap_seg_.base + uint64_t{index} * codoms::kCapMemBytes;
+  // Rebinds an excised producer slot to a fresh process (the supervisor's
+  // respawn path): fresh owner key, cleared templates, a full credit line
+  // and APL grants. Late releases of the dead incarnation's messages do not
+  // refund the fresh line.
+  base::Status RebindProducer(uint32_t producer, os::Process& proc) {
+    return plane_.Rebind(Side::kTx, producer, proc);
   }
 
-  os::Kernel& kernel_;
-  std::vector<os::Process*> producer_procs_;
-  os::Process* consumer_proc_;
-  FanInConfig cfg_;
-  uint64_t buf_stride_ = 0;
-  uint32_t credit_line_ = 0;  // cfg_.credits resolved against cfg_.slots
-  hw::DomainTag ctrl_tag_ = hw::kInvalidDomainTag;
-  hw::DomainTag data_tag_ = hw::kInvalidDomainTag;
-  hw::DomainTag rt_tag_ = hw::kInvalidDomainTag;
-  Segment data_seg_;
-  Segment cap_seg_;  // one capability-storage slot per buffer (one consumer)
-  std::unique_ptr<MpmcQueue> free_;
-  std::unique_ptr<MpmcQueue> desc_;  // single consumer FIFO, M producers push
-  // Producer-side in-flight write caps + per-(producer, slot) templates.
-  std::vector<std::optional<codoms::Capability>> sender_caps_;
-  std::vector<std::vector<std::optional<codoms::Capability>>> wcap_tmpl_;  // [p][slot]
-  // Per-slot trace-context side-band (chan/desc.h): stamped at publish,
-  // read at RecvBatch; slot ownership moves with the descriptor.
-  std::vector<uint64_t> tctx_;
-  // Which producer currently holds / sent each slot, and under which
-  // owner-key generation (guards credit refunds across RebindProducer).
-  std::vector<uint32_t> slot_owner_;
-  std::vector<uint64_t> slot_owner_key_;
-  // Consumer-side in-flight read caps + per-slot templates.
-  std::vector<std::optional<codoms::Capability>> rcaps_;
-  std::vector<std::optional<codoms::Capability>> rcap_tmpl_;
-  std::vector<uint64_t> credits_;    // per producer
-  std::vector<bool> alive_;          // per producer
-  std::vector<uint64_t> owner_key_;  // per producer RevocationTable owner
-  uint64_t consumer_owner_key_ = 0;
-  os::WaitQueue credit_waiters_;
-  uint64_t credit_wait_count_ = 0;  // live waiter counter (wake suppression)
-  bool closed_ = false;
-  base::ErrorCode broken_ = base::ErrorCode::kOk;
-  uint64_t sends_ = 0;
-  uint64_t recvs_ = 0;
-  uint64_t cold_mints_ = 0;
-  uint64_t blocked_on_credit_ = 0;
-  // Registry handles ("fanin/<id>/..." plus per-producer "tx/<p>/...");
-  // registered once in Create, the getters above stay the source of truth.
-  void RegisterMetrics();
-  uint32_t obs_id_ = 0;
-  obs::Counter* m_sends_ = nullptr;
-  obs::Counter* m_recvs_ = nullptr;
-  obs::Counter* m_blocked_on_credit_ = nullptr;
-  std::vector<obs::Counter*> m_tx_sends_;
-  std::vector<obs::Gauge*> m_tx_credits_;
-  std::vector<obs::Histogram*> m_tx_stall_ns_;
+ private:
+  friend class Plane;
+  FanInChannel() = default;
+
+  Plane plane_;
 };
 
 }  // namespace dipc::chan

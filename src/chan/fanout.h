@@ -1,287 +1,171 @@
-// One-producer / N-receiver fan-out channels with per-receiver capability
-// grants and credit-based flow control.
+// One-producer / N-receiver fan-out channels: the 1xN view of the channel
+// plane (chan/plane.h).
 //
 // The paper's server scenarios (OLTP tiers, isolated drivers) are
-// one-to-many: one producer tier feeding many worker domains. A
-// FanOutChannel extends the point-to-point Channel design to that shape
-// while keeping its zero-copy ownership-transfer semantics:
+// one-to-many: one producer tier feeding many worker domains. Each receiver
+// has its own descriptor FIFO and its own epoch-rebindable read capability
+// per slot, tagged with its own RevocationTable owner key, so a dead
+// receiver is excised individually and the group keeps flowing; the
+// producer's death breaks the group.
 //
-//   - Message buffers live in one data domain; descriptors travel through a
-//     *per-receiver* MpmcQueue, so each receiver has its own FIFO and its
-//     own blocking behavior.
-//   - Each receiver holds its *own* epoch-rebindable read capability per
-//     slot (its own revocation counter, its own capability-storage slot).
-//     Revoking one receiver therefore never touches another's grants: a
-//     dead receiver is excised individually (via the core::Dipc death hook)
-//     and the group keeps flowing. The per-receiver counters are tagged
-//     with an owner key in the RevocationTable, so teardown is one bulk
-//     RevokeAllForOwner and tests can assert per receiver that no grant
-//     survived.
-//   - Flow control is credit-based: every receiver starts with `slots`
-//     credits, a delivery consumes one, ReleaseBatch returns them. The
-//     producer's AcquireBufBatch/SendBatch block only when the *slowest
-//     live* receiver is out of credit (LagPolicy::kBlock); under
-//     LagPolicy::kDropSlowest a zero-credit receiver is skipped instead
-//     (counted in dropped(r)) and the group runs at the speed of the
-//     receivers that keep up.
-//   - Delivery modes: Send/SendBatch broadcast to every live receiver (a
-//     slot returns to the free pool when the last live receiver releases
-//     it); SendTo/SendToBatch deliver to one receiver (sharding — the
-//     paper's one-tier-feeds-N-workers request distribution). NextShard()
-//     round-robins over live receivers.
-//
-// Batching, epoch-cached grants, futex blocking and the trusted-runtime
-// cost model all mirror Channel (see channel.h); per batch the producer
-// pays one control-queue op per receiver touched, one runtime entry and at
-// most one futex wake per receiver queue.
+// Flow control is credit-based: every receiver starts with a full credit
+// line, a delivery consumes one credit, a release returns it. The producer
+// blocks only while the *slowest live* receiver (or, for SendTo, the target)
+// is out of credit. Send/SendBatch broadcast to every live receiver (a slot
+// returns to the pool when the last one releases it); SendTo/SendToBatch
+// shard to one receiver, and NextShard() round-robins over live receivers.
 #ifndef DIPC_CHAN_FANOUT_H_
 #define DIPC_CHAN_FANOUT_H_
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "base/result.h"
-#include "chan/channel.h"
-#include "chan/mpmc_queue.h"
-#include "chan/segment.h"
-#include "codoms/capability.h"
+#include "chan/plane.h"
 #include "dipc/dipc.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "os/deadline.h"
 #include "os/kernel.h"
 #include "sim/task.h"
 
 namespace dipc::chan {
 
-// What the producer does when a live receiver has no credit left.
-enum class LagPolicy : uint8_t {
-  kBlock,        // wait for the slowest live receiver to return credit
-  kDropSlowest,  // skip zero-credit receivers (their messages are dropped)
-};
+// `credits` is the per-receiver credit line (0 = slots).
+using FanOutConfig = PlaneConfig;
 
-struct FanOutConfig {
-  uint32_t slots = 8;            // in-flight message buffers (shared pool)
-  uint64_t buf_bytes = 1 << 16;  // payload capacity per buffer
-  // Per-receiver credit line (0 = slots). A receiver can hold at most this
-  // many unreleased deliveries, which caps how much of the shared pool one
-  // laggard can pin — set it below `slots` so kDropSlowest can actually keep
-  // the group flowing past a receiver that stops releasing.
-  uint32_t credits = 0;
-  LagPolicy lag_policy = LagPolicy::kBlock;
-  // Optional shared domain-tag trio (see ChannelConfig).
-  hw::DomainTag ctrl_tag = hw::kInvalidDomainTag;
-  hw::DomainTag data_tag = hw::kInvalidDomainTag;
-  hw::DomainTag rt_tag = hw::kInvalidDomainTag;
-};
-
-class FanOutChannel : public std::enable_shared_from_this<FanOutChannel> {
+class FanOutChannel {
  public:
-  static constexpr uint32_t kSenderCapReg = Channel::kSenderCapReg;
-  static constexpr uint32_t kReceiverCapReg = Channel::kReceiverCapReg;
+  static constexpr uint32_t kSenderCapReg = Plane::kSenderCapReg;
+  static constexpr uint32_t kReceiverCapReg = Plane::kReceiverCapReg;
 
   // Creates a producer -> {receivers} fan-out channel in `dipc`'s global VAS
   // and registers dead-peer teardown for every endpoint process.
   static base::Result<std::shared_ptr<FanOutChannel>> Create(
       core::Dipc& dipc, os::Process& producer, std::span<os::Process* const> receivers,
-      FanOutConfig cfg = {});
+      FanOutConfig cfg = {}) {
+    os::Process* tx[] = {&producer};
+    return Plane::Create<FanOutChannel>(dipc, Gate::kDelivery, tx, receivers, cfg);
+  }
 
   // ---- Producer side ----
 
-  // Credit-gated batched acquire: blocks until the admission gate opens
-  // (kBlock: every live receiver has credit; kDropSlowest: at least one
-  // does), then pops up to `max_n` free buffers and grants write
-  // capabilities (epoch rebind on the warm path), exactly like
-  // Channel::AcquireBufBatch. A finite `deadline` bounds both the credit
-  // wait and the free-pool pop with kTimedOut (no grants held on a timeout).
-  sim::Task<base::Result<SendBuf>> AcquireBuf(os::Env env, os::Deadline deadline = {});
+  // Credit-gated acquire: blocks until every live receiver has credit, then
+  // pops up to `max_n` free buffers and grants write capabilities. A finite
+  // `deadline` bounds the credit wait and the pool pop with kTimedOut.
+  sim::Task<base::Result<SendBuf>> AcquireBuf(os::Env env, os::Deadline deadline = {}) {
+    return plane_.AcquireOne(env, 0, deadline);
+  }
   sim::Task<base::Result<std::vector<SendBuf>>> AcquireBufBatch(os::Env env, uint32_t max_n,
-                                                                os::Deadline deadline = {});
+                                                                os::Deadline deadline = {}) {
+    return plane_.Acquire(env, 0, max_n, deadline);
+  }
 
-  // Broadcast publish: every live receiver with credit gets its own
-  // read-only capability over the (immutable) payload; the sender's write
-  // ownership ends before any receiver can observe the message. Blocks per
-  // the lag policy; fails with kCalleeFailed when no live receiver remains.
-  // A finite `deadline` bounds the credit wait: kTimedOut means nothing was
-  // published and the producer still owns every buffer (retry or abandon).
+  // Broadcast publish: every live receiver gets its own read-only capability
+  // over the (immutable) payload. Fails with kCalleeFailed when no live
+  // receiver remains; kTimedOut (finite deadline) means nothing was
+  // published and the producer still owns every buffer.
   sim::Task<base::Status> Send(os::Env env, const SendBuf& buf, uint64_t len,
-                               os::Deadline deadline = {});
+                               os::Deadline deadline = {}) {
+    return plane_.PublishOne(env, 0, buf, len, receiver_count(), deadline);
+  }
   sim::Task<base::Status> SendBatch(os::Env env, std::span<const SendItem> items,
-                                    os::Deadline deadline = {});
+                                    os::Deadline deadline = {}) {
+    return plane_.Publish(env, 0, items, receiver_count(), deadline);
+  }
 
-  // Sharded publish to one receiver (waits for that receiver's credit —
-  // sharded requests are never dropped). Fails with kCalleeFailed if the
-  // receiver died; the caller reshards via NextShard().
-  //
-  // Ownership contract on failure, for every Send flavor: while broken()
-  // == kOk the producer still owns every buffer of a failed send (a dead
-  // shard, a denied grant) and may retry it — SendTo to another shard — or
-  // hand it back with AbandonBufBatch. Once broken() != kOk teardown has
-  // already swept the grants and the buffers are gone with the channel.
+  // Sharded publish to one receiver (waits for that receiver's credit).
+  // Fails with kCalleeFailed if the receiver died; while broken() == kOk the
+  // producer still owns the buffers of a failed send and may SendTo another
+  // shard or Abandon them.
   sim::Task<base::Status> SendTo(os::Env env, const SendBuf& buf, uint64_t len,
-                                 uint32_t receiver, os::Deadline deadline = {});
+                                 uint32_t receiver, os::Deadline deadline = {}) {
+    return plane_.PublishOne(env, 0, buf, len, receiver, deadline);
+  }
   sim::Task<base::Status> SendToBatch(os::Env env, std::span<const SendItem> items,
-                                      uint32_t receiver, os::Deadline deadline = {});
+                                      uint32_t receiver, os::Deadline deadline = {}) {
+    return plane_.Publish(env, 0, items, receiver, deadline);
+  }
 
-  // Returns acquired-but-unsent buffers to the free pool (revoking the
-  // write grants). The producer-side give-up path when every shard it
-  // would retry is gone — abandoning a buffer without this leaks its slot
-  // and a live write capability for the life of the channel.
-  sim::Task<base::Status> AbandonBuf(os::Env env, const SendBuf& buf);
-  sim::Task<base::Status> AbandonBufBatch(os::Env env, std::span<const SendBuf> bufs);
+  // Returns acquired-but-unsent buffers to the pool (revoking the write
+  // grants) — the give-up path when every shard is gone.
+  sim::Task<base::Status> Abandon(os::Env env, const SendBuf& buf) {
+    return plane_.Abandon(env, 0, std::span(&buf, 1));
+  }
+  sim::Task<base::Status> AbandonBatch(os::Env env, std::span<const SendBuf> bufs) {
+    return plane_.Abandon(env, 0, bufs);
+  }
 
-  // Round-robin over live receivers (sharding helper). Returns the receiver
-  // count if none is alive.
-  uint32_t NextShard();
-
-  void BindSendCap(os::Thread& t, const SendBuf& buf) const;
+  uint32_t NextShard() { return plane_.NextShard(); }
+  void BindSendCap(os::Thread& t, const SendBuf& buf) const { plane_.BindSendCap(t, buf); }
 
   // Orderly shutdown: receivers drain, then see kBrokenChannel.
-  void Close();
+  void Close() { plane_.Close(); }
 
   // ---- Receiver side (every call names the receiver index) ----
 
   sim::Task<base::Result<Msg>> Recv(os::Env env, uint32_t receiver,
-                                    os::Deadline deadline = {});
+                                    os::Deadline deadline = {}) {
+    return plane_.RecvOne(env, receiver, deadline);
+  }
   sim::Task<base::Result<std::vector<Msg>>> RecvBatch(os::Env env, uint32_t receiver,
                                                       uint32_t max_n,
-                                                      os::Deadline deadline = {});
+                                                      os::Deadline deadline = {}) {
+    return plane_.Recv(env, receiver, max_n, deadline);
+  }
 
-  // Returns credit to the producer and the slot to the free pool once the
-  // last live receiver released it.
-  sim::Task<base::Status> Release(os::Env env, uint32_t receiver, const Msg& msg);
+  // Returns credit to the producer, and the slot to the pool once the last
+  // live receiver released it.
+  sim::Task<base::Status> Release(os::Env env, uint32_t receiver, const Msg& msg) {
+    return plane_.Release(env, receiver, std::span(&msg, 1));
+  }
   sim::Task<base::Status> ReleaseBatch(os::Env env, uint32_t receiver,
-                                       std::span<const Msg> msgs);
+                                       std::span<const Msg> msgs) {
+    return plane_.Release(env, receiver, msgs);
+  }
 
-  void BindRecvCap(os::Thread& t, uint32_t receiver, const Msg& msg) const;
+  void BindRecvCap(os::Thread& t, uint32_t receiver, const Msg& msg) const {
+    plane_.BindRecvCap(t, receiver, msg);
+  }
 
   // ---- Introspection ----
 
-  uint32_t receiver_count() const { return static_cast<uint32_t>(receiver_procs_.size()); }
-  uint32_t live_receiver_count() const;
-  bool receiver_alive(uint32_t r) const { return r < alive_.size() && alive_[r]; }
-  uint32_t credit_line() const { return credit_line_; }
-  uint64_t credits(uint32_t r) const { return credits_[r]; }
-  uint64_t dropped(uint32_t r) const { return dropped_[r]; }
+  uint32_t receiver_count() const { return plane_.rx_count(); }
+  uint32_t live_receiver_count() const { return plane_.live_count(Side::kRx); }
+  bool receiver_alive(uint32_t r) const { return r < receiver_count() && plane_.rx(r).alive; }
+  uint32_t credit_line() const { return plane_.credit_line(); }
+  uint64_t credits(uint32_t r) const { return plane_.rx(r).credits; }
   // RevocationTable owner key of receiver r's read grants (test support).
-  uint64_t receiver_owner(uint32_t r) const { return owner_key_[r]; }
-  const FanOutConfig& config() const { return cfg_; }
-  base::ErrorCode broken() const { return broken_; }
-  uint64_t sends() const { return sends_; }          // messages published
-  uint64_t deliveries() const { return deliveries_; }  // per-receiver deliveries
-  uint64_t recvs() const { return recvs_; }
-  uint64_t cold_mints() const { return cold_mints_; }
-  uint64_t blocked_on_credit() const { return blocked_on_credit_; }
-  uint64_t LiveGrantCount() const;
-  hw::VirtAddr buf_va(uint32_t index) const { return data_seg_.base + index * buf_stride_; }
+  uint64_t receiver_owner(uint32_t r) const { return plane_.rx(r).key; }
+  const FanOutConfig& config() const { return plane_.config(); }
+  base::ErrorCode broken() const { return plane_.broken(); }
+  uint64_t sends() const { return plane_.sends(); }            // messages published
+  uint64_t deliveries() const { return plane_.deliveries(); }  // per-receiver deliveries
+  uint64_t recvs() const { return plane_.recvs(); }
+  uint64_t cold_mints() const { return plane_.cold_mints(); }
+  uint64_t blocked_on_credit() const { return plane_.blocked_on_credit(); }
+  uint64_t LiveGrantCount() const { return plane_.LiveGrantCount(); }
+  hw::VirtAddr buf_va(uint32_t index) const { return plane_.buf_va(index); }
+  const Plane& plane() const { return plane_; }
   // Id under which this group's metrics ("fanout/<id>/...") and trace
   // events are attributed.
-  uint32_t obs_id() const { return obs_id_; }
+  uint32_t obs_id() const { return plane_.obs_id(); }
 
-  // Dead-peer teardown (fired via the core::Dipc death hook). A dead
-  // receiver is revoked individually; a dead producer breaks the channel.
-  void OnProcessDeath(os::Process& proc);
+  // Dead-peer teardown (fired via the core::Dipc death hook).
+  void OnProcessDeath(os::Process& proc) { plane_.OnProcessDeath(proc); }
 
-  // Rebinds a dead receiver slot to a fresh process (the supervisor's
-  // respawn path). The old receiver must have been excised by OnProcessDeath
-  // already. The slot gets a fresh RevocationTable owner key, a fresh
-  // descriptor FIFO (the failed one is retired, not destroyed — threads may
-  // still be resuming out of it), cleared capability templates, a full
-  // credit line, and APL grants for `proc`. Producers parked on credit are
-  // re-woken so a kDropSlowest group notices the revived receiver.
-  base::Status RebindReceiver(uint32_t receiver, os::Process& proc);
-
- private:
-  FanOutChannel(core::Dipc& dipc, os::Process& producer,
-                std::span<os::Process* const> receivers, FanOutConfig cfg);
-
-  // True while the producer must wait before admitting `need` more
-  // messages. `target` == receiver_count() evaluates the group gate (kBlock:
-  // some live receiver below `need` credits; kDropSlowest: no live receiver
-  // with any credit); a specific target gates on that receiver alone.
-  bool GateClosed(uint32_t target, uint64_t need) const;
-  // Waits (futex path) until the gate opens, the channel closes/breaks, the
-  // target dies, or every receiver is gone. Returns the error to surface,
-  // or kOk once admitted; kTimedOut when a finite deadline expires with the
-  // gate still closed.
-  sim::Task<base::ErrorCode> AwaitCredit(os::Env env, uint32_t target, uint64_t need,
-                                         os::Deadline deadline);
-  // Per-receiver-or-producer grant; mirrors Channel::GrantCap. `receiver` ==
-  // receiver_count() grants the producer's write capability.
-  base::Result<codoms::Capability> GrantCap(os::Env env, uint32_t index, uint32_t receiver,
-                                            codoms::Perm rights, sim::Duration* cost);
-  // Shared body of SendBatch/SendToBatch; `target` == receiver_count()
-  // broadcasts.
-  sim::Task<base::Status> SendCommon(os::Env env, std::span<const SendItem> items,
-                                     uint32_t target, os::Deadline deadline);
-  // Revokes r's grant over `index` and recycles the slot if r was the last
-  // holder; returns true when the slot was freed. `env` may be null-free
-  // teardown context (uses PushNoEnv).
-  void DropDelivery(uint32_t receiver, uint32_t index, std::vector<uint64_t>* freed);
-
-  hw::VirtAddr CapSlotVa(uint32_t receiver, uint32_t index) const {
-    return cap_seg_.base + (uint64_t{receiver} * cfg_.slots + index) * codoms::kCapMemBytes;
+  // Rebinds an excised receiver slot to a fresh process (the supervisor's
+  // respawn path): fresh owner key, fresh descriptor FIFO, cleared
+  // templates, a full credit line and APL grants for `proc`.
+  base::Status RebindReceiver(uint32_t receiver, os::Process& proc) {
+    return plane_.Rebind(Side::kRx, receiver, proc);
   }
 
-  os::Kernel& kernel_;
-  os::Process* producer_proc_;
-  std::vector<os::Process*> receiver_procs_;
-  FanOutConfig cfg_;
-  uint64_t buf_stride_ = 0;
-  uint32_t credit_line_ = 0;  // cfg_.credits resolved against cfg_.slots
-  hw::DomainTag ctrl_tag_ = hw::kInvalidDomainTag;
-  hw::DomainTag data_tag_ = hw::kInvalidDomainTag;
-  hw::DomainTag rt_tag_ = hw::kInvalidDomainTag;
-  Segment data_seg_;
-  Segment cap_seg_;  // receivers * slots capability-storage slots
-  std::unique_ptr<MpmcQueue> free_;
-  std::vector<std::unique_ptr<MpmcQueue>> desc_;  // one descriptor FIFO per receiver
-  // Failed FIFOs parked here by RebindReceiver: threads blocked in a retired
-  // queue may resume after the swap, so the queue must outlive the rebind.
-  std::vector<std::unique_ptr<MpmcQueue>> retired_desc_;
-  // Producer-side in-flight write caps + per-slot write templates.
-  std::vector<std::optional<codoms::Capability>> sender_caps_;
-  std::vector<std::optional<codoms::Capability>> wcap_tmpl_;
-  // Per-slot trace-context side-band (chan/desc.h): stamped at publish,
-  // read at RecvBatch. Ownership moves with the descriptor, so this is
-  // single-writer per slot at any instant.
-  std::vector<uint64_t> tctx_;
-  // Per-receiver in-flight read caps + templates, [receiver][slot].
-  std::vector<std::vector<std::optional<codoms::Capability>>> rcaps_;
-  std::vector<std::vector<std::optional<codoms::Capability>>> rcap_tmpl_;
-  // Live receivers that still have to release each slot; 0 = slot free or
-  // producer-owned.
-  std::vector<uint32_t> pending_;
-  std::vector<uint64_t> credits_;   // per receiver
-  std::vector<bool> alive_;         // per receiver
-  std::vector<uint64_t> dropped_;   // per receiver (kDropSlowest skips)
-  std::vector<uint64_t> owner_key_;  // per receiver RevocationTable owner
-  os::WaitQueue credit_waiters_;
-  uint64_t credit_wait_count_ = 0;  // live waiter counter (wake suppression)
-  bool closed_ = false;
-  base::ErrorCode broken_ = base::ErrorCode::kOk;
-  uint32_t rr_next_ = 0;
-  uint64_t sends_ = 0;
-  uint64_t deliveries_ = 0;
-  uint64_t recvs_ = 0;
-  uint64_t cold_mints_ = 0;
-  uint64_t blocked_on_credit_ = 0;
-  // Registry handles ("fanout/<id>/..." plus per-receiver "rx/<r>/...");
-  // registered once in Create, the getters above stay the source of truth.
-  void RegisterMetrics();
-  uint32_t obs_id_ = 0;
-  obs::Counter* m_sends_ = nullptr;
-  obs::Counter* m_deliveries_ = nullptr;
-  obs::Counter* m_recvs_ = nullptr;
-  obs::Counter* m_blocked_on_credit_ = nullptr;
-  obs::Histogram* m_group_stall_ns_ = nullptr;  // broadcast-gate stalls
-  std::vector<obs::Counter*> m_rx_deliveries_;
-  std::vector<obs::Counter*> m_rx_drops_;
-  std::vector<obs::Gauge*> m_rx_credits_;
-  std::vector<obs::Histogram*> m_rx_stall_ns_;  // sharded-gate stalls
+ private:
+  friend class Plane;
+  FanOutChannel() = default;
+
+  Plane plane_;
 };
 
 }  // namespace dipc::chan

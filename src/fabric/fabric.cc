@@ -69,12 +69,8 @@ base::Result<std::shared_ptr<ServiceFabric>> ServiceFabric::Create(
   // for every tenant), so the per-CPU APL cache sees 6 tags no matter how
   // many clients ride the fabric. Leaving the tags invalid makes each
   // channel allocate its own trio — the cache-thrash design point.
-  chan::FanOutConfig req_cfg{.slots = cfg.req_slots,
-                             .buf_bytes = cfg.req_bytes,
-                             .credits = cfg.req_credits,
-                             .lag_policy = chan::LagPolicy::kBlock};
-  chan::FanInConfig resp_cfg{
-      .slots = cfg.resp_slots, .buf_bytes = cfg.resp_bytes, .credits = cfg.resp_credits};
+  chan::FanOutConfig req_cfg{.slots = cfg.req_slots, .buf_bytes = cfg.req_bytes};
+  chan::FanInConfig resp_cfg{.slots = cfg.resp_slots, .buf_bytes = cfg.resp_bytes};
   if (cfg.shared_trio) {
     codoms::AplTable& apl = dipc.kernel().codoms().apl_table();
     req_cfg.ctrl_tag = apl.AllocateTag();
@@ -244,7 +240,7 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
       }
     }
     if (!sent) {
-      (void)co_await req->AbandonBuf(env, sb);
+      (void)co_await req->Abandon(env, sb);
       if (req->broken() != base::ErrorCode::kOk) {
         break;
       }

@@ -405,11 +405,7 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
       receivers.push_back(&dipc.CreateDipcProcess("worker"));
     }
     const uint32_t slots = static_cast<uint32_t>(rng.UniformInt(2, 6));
-    const bool drop_policy = rng.Chance(0.5);
-    auto ch = FanOutChannel::Create(
-        dipc, prod, receivers,
-        {.slots = slots, .buf_bytes = 4096,
-         .lag_policy = drop_policy ? LagPolicy::kDropSlowest : LagPolicy::kBlock});
+    auto ch = FanOutChannel::Create(dipc, prod, receivers, {.slots = slots, .buf_bytes = 4096});
     ASSERT_TRUE(ch.ok());
     std::shared_ptr<FanOutChannel> fan = ch.value();
     std::vector<std::vector<uint64_t>> got(n_recv);
@@ -465,7 +461,7 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
             }
             // On a dead-shard failure the buffer stays owned (broken() ==
             // kOk contract): retry it on the next live shard; give it back
-            // with AbandonBuf when nobody is left — dropping it on the
+            // with Abandon when nobody is left — dropping it on the
             // floor would leak the slot and a live write grant, which the
             // end-of-run assertions below would catch.
             bool sent = false;
@@ -491,7 +487,7 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
             }
             if (!sent) {
               if (fan->broken() == ErrorCode::kOk) {
-                (void)co_await fan->AbandonBuf(env, buf.value());
+                (void)co_await fan->Abandon(env, buf.value());
               }
               co_return;
             }
@@ -636,7 +632,7 @@ TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
                 // While the group is healthy the buffer stays ours on a
                 // failed publish: hand it back instead of leaking the slot.
                 if (fan->broken() == ErrorCode::kOk) {
-                  (void)co_await fan->AbandonBuf(env, p, buf.value());
+                  (void)co_await fan->Abandon(env, p, buf.value());
                 }
                 co_return;
               }

@@ -123,8 +123,8 @@ TEST_F(FanInTest, CreditLineBoundsOneGreedyProducerWithoutStarvingTheGroup) {
     greedy_timed_out = true;
     EXPECT_EQ(fan->credits(0), 0u);  // a timeout consumes no credit
     // Hand the hoard back so teardown is clean.
-    EXPECT_TRUE((co_await fan->AbandonBuf(env, 0, a.value())).ok());
-    EXPECT_TRUE((co_await fan->AbandonBuf(env, 0, b.value())).ok());
+    EXPECT_TRUE((co_await fan->Abandon(env, 0, a.value())).ok());
+    EXPECT_TRUE((co_await fan->Abandon(env, 0, b.value())).ok());
     EXPECT_EQ(fan->credits(0), 2u);
     fan->Close();
   });

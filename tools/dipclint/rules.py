@@ -121,11 +121,12 @@ def schema_examples(entry: tuple[str, list[str]]) -> list[str]:
 # ---- CAP-LEAK -------------------------------------------------------------
 
 _ACQUIRES = {"AcquireBuf", "AcquireBufBatch"}
+# The channel views' consuming calls: each ends the caller's ownership of
+# the buffers it is handed.
 _SINKS = {
-    "Send", "SendTo", "SendBatch", "SendBatchTo",
-    "Abandon", "AbandonBuf", "AbandonBatch",
-    "Release", "ReleaseBatch", "ReleaseAll",
-    "BindSendCap", "BindRecvCap",
+    "Send", "SendBatch", "SendTo", "SendToBatch",
+    "Abandon", "AbandonBatch",
+    "Release", "ReleaseBatch",
 }
 _ALIAS_RECEIVERS = {"push_back", "emplace_back", "insert", "assign"}
 
