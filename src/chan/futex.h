@@ -10,7 +10,6 @@
 #define DIPC_CHAN_FUTEX_H_
 
 #include "fault/fault.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "os/deadline.h"
 #include "os/kernel.h"
@@ -49,8 +48,7 @@ inline sim::Task<bool> FutexBlockUntil(os::Env env, os::WaitQueue& q, os::Deadli
       // Park telemetry: global parked-thread gauge, queue-length instant,
       // and the parked interval billed to the domain as futex-wait time
       // (blocked time — deliberately outside the CPU-time categories).
-      obs::Gauge* waiters_gauge = obs::Registry::Default().GetGauge("os/sched/futex_waiters");
-      waiters_gauge->Add(1);
+      k.futex_waiters()->Add(1);
       obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexQDepth, /*obj=*/0,
                           static_cast<uint64_t>(q.size() + 1), k.now());
       const sim::Time park_start = k.now();
@@ -79,9 +77,8 @@ inline sim::Task<bool> FutexBlockUntil(os::Env env, os::WaitQueue& q, os::Deadli
           (void)k.machine().events().Cancel(timer);
         }
       }
-      waiters_gauge->Sub(1);
-      obs::ChargeDomainTime(static_cast<uint32_t>(env.self->cap_ctx().current_domain),
-                            obs::DomainTimeKind::kFutexWait, (k.now() - park_start).picos());
+      k.futex_waiters()->Sub(1);
+      k.ChargeBlocked(*env.self, k.now() - park_start);
     }
   }
   co_await k.SyscallExit(env);

@@ -292,56 +292,4 @@ std::vector<std::string> Registry::TakeSchemaViolations() { return {}; }
 
 #endif  // DIPC_OBS_OFF
 
-const char* DomainTimeKindName(DomainTimeKind kind) {
-  switch (kind) {
-    case DomainTimeKind::kUser:
-      return "user";
-    case DomainTimeKind::kKernel:
-      return "kernel";
-    case DomainTimeKind::kCopy:
-      return "copy";
-    case DomainTimeKind::kFutexWait:
-      return "futex_wait";
-    case DomainTimeKind::kProxy:
-      return "proxy";
-    case DomainTimeKind::kCount:
-      break;
-  }
-  return "unknown";
-}
-
-#ifndef DIPC_OBS_OFF
-
-void ChargeDomainTime(uint32_t domain_tag, DomainTimeKind kind, int64_t ps) {
-  if (ps <= 0 || kind >= DomainTimeKind::kCount) {
-    return;
-  }
-  // (tag, kind) -> {counter handle, sub-ns remainder}. The remainder
-  // survives Registry::Reset on purpose: it is residue below the counter's
-  // unit, not a value a series window could meaningfully claim.
-  struct Slot {
-    Counter* counter = nullptr;
-    int64_t remainder_ps = 0;
-  };
-  constexpr size_t kKinds = static_cast<size_t>(DomainTimeKind::kCount);
-  thread_local std::vector<Slot> slots;
-  const size_t index = static_cast<size_t>(domain_tag) * kKinds + static_cast<size_t>(kind);
-  if (index >= slots.size()) {
-    slots.resize((static_cast<size_t>(domain_tag) + 1) * kKinds);
-  }
-  Slot& s = slots[index];
-  if (s.counter == nullptr) {
-    s.counter = Registry::Default().GetCounter("domain/" + std::to_string(domain_tag) +
-                                               "/time_ns/" + DomainTimeKindName(kind));
-  }
-  const int64_t total_ps = s.remainder_ps + ps;
-  const int64_t ns = total_ps / 1000;
-  s.remainder_ps = total_ps % 1000;
-  if (ns > 0) {
-    s.counter->Add(static_cast<uint64_t>(ns));
-  }
-}
-
-#endif  // DIPC_OBS_OFF
-
 }  // namespace dipc::obs

@@ -4,13 +4,17 @@
 //
 // The paper's whole argument rests on *attributed* measurement (Fig. 2's
 // per-category cycle breakdowns); this registry extends that attribution to
-// the runtime layers above os::Accounting — channels, capability churn,
+// the runtime layers above os::TimeAccounting — channels, capability churn,
 // credit stalls, futex traffic — so a multi-tenant run can answer "which
-// tenant is stalling whom" instead of exposing one-off getters.
+// tenant is stalling whom" instead of exposing one-off getters. The layer
+// is generic: it knows no simulated-time vocabulary. Per-domain time
+// ("domain/<tag>/time_ps/<kind>") is an ordinary counter that os::Kernel's
+// one charge path writes.
 //
 // Hot-path contract:
 //   - Registration (name lookup) takes a mutex and builds strings: do it
-//     once at object creation and keep the returned handle pointer.
+//     once, at object creation or on an object's first use, and keep the
+//     returned handle pointer. Never look a name up per operation.
 //   - The handles themselves are single relaxed atomic ops (Counter::Add is
 //     one fetch_add), cheap enough to leave on the steady-state send path.
 //     Handle pointers are stable for the life of the process (deque-backed
@@ -199,39 +203,6 @@ class Registry {
   struct Impl;
   Impl& impl() const;
 };
-
-// Per-domain simulated-time attribution, charged by os::Kernel whenever a
-// thread spends modeled time. Kinds mirror the paper's Fig. 2 question —
-// where does a cross-domain call's time go — collapsed to what a profiler
-// would bill a tenant for: its own user code, kernel work done on its
-// behalf, data-plane copies, time parked on futexes, and proxy trampolines.
-enum class DomainTimeKind : uint8_t {
-  kUser,
-  kKernel,
-  kCopy,
-  kFutexWait,
-  kProxy,
-  kCount,
-};
-
-// Metric-name component for one kind ("user", "kernel", ...).
-const char* DomainTimeKindName(DomainTimeKind kind);
-
-#ifndef DIPC_OBS_OFF
-// Adds `ps` picoseconds of `kind` time to the default-registry counter
-// "domain/<tag>/time_ns/<kind>". Counters hold nanoseconds; sub-ns residue
-// carries over per (tag, kind) so long runs don't systematically truncate
-// (the acceptance bound joins these sums against wall sim-time at 5%).
-//
-// The (tag, kind) state is a flat table indexed by tag * kCount + kind,
-// confined to the calling host thread (no lock): a simulation runs on one
-// thread, and each thread carries its own remainders. Tags must be dense
-// small integers, as AplTable::AllocateTag hands them out; the table grows
-// to the largest tag charged.
-void ChargeDomainTime(uint32_t domain_tag, DomainTimeKind kind, int64_t ps);
-#else
-inline void ChargeDomainTime(uint32_t, DomainTimeKind, int64_t) {}
-#endif
 
 }  // namespace dipc::obs
 

@@ -6,6 +6,12 @@
 //   trampoline, (4) kernel/privileged code, (5) schedule/context switch,
 //   (6) page table switch, (7) idle / IO wait — plus a dIPC-proxy category
 //   for the trusted thunk code dIPC adds.
+//
+// Only os::Kernel charges it, from the same private call that bills the
+// running domain's "domain/<tag>/time_ps/<kind>" counter. Both books count
+// picoseconds, so the per-domain CPU time sums exactly to Total() minus
+// idle. Blocked (futex-park) time is billed to its domain but lies in no
+// bucket here.
 #ifndef DIPC_OS_ACCOUNTING_H_
 #define DIPC_OS_ACCOUNTING_H_
 

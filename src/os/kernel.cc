@@ -1,9 +1,43 @@
 #include "os/kernel.h"
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 #include <vector>
 
 namespace dipc::os {
+
+namespace {
+
+// Per-domain time kinds, the <kind> of "domain/<tag>/time_ps/<kind>":
+// what a profiler would bill a tenant for.
+enum DomainKind : uint8_t { kDomUser, kDomKernel, kDomCopy, kDomFutexWait, kDomProxy, kNoDomain };
+constexpr const char* kDomainKindNames[] = {"user", "kernel", "copy", "futex_wait", "proxy"};
+constexpr size_t kNumDomainKinds = kNoDomain;
+
+// Where each Kernel::Bill lands: its Fig. 2 bucket (kCount: none) and its
+// per-domain kind. User code is the domain's own work; every kernel-side
+// bucket is kernel work done on its behalf; proxies bill apart (they are the
+// cost dIPC removes); idle is nobody's time.
+struct BillRow {
+  TimeCat bucket;
+  DomainKind kind;
+};
+constexpr BillRow kBillRows[] = {
+    {TimeCat::kUser, kDomUser},
+    {TimeCat::kSyscallCrossing, kDomKernel},
+    {TimeCat::kSyscallDispatch, kDomKernel},
+    {TimeCat::kKernel, kDomKernel},
+    {TimeCat::kSchedule, kDomKernel},
+    {TimeCat::kPageTableSwitch, kDomKernel},
+    {TimeCat::kIdle, kNoDomain},
+    {TimeCat::kProxy, kDomProxy},
+    {TimeCat::kKernel, kDomCopy},     // Bill::kCopy
+    {TimeCat::kCount, kDomFutexWait},  // Bill::kBlocked
+};
+static_assert(std::size(kBillRows) == kNumTimeCats + 2);
+
+}  // namespace
 
 Kernel::Kernel(hw::Machine& machine, codoms::Codoms& codoms)
     : machine_(machine), codoms_(codoms), accounting_(machine.num_cpus()) {
@@ -75,6 +109,28 @@ void Kernel::KillThread(Thread& t) {
     (void)MakeRunnable(*j, std::nullopt);
   }
   t.joiners().clear();
+}
+
+// ---- Time ----
+
+void Kernel::Charge(hw::CpuId cpu, hw::DomainTag domain, Bill bill, sim::Duration d) {
+  const BillRow& row = kBillRows[static_cast<size_t>(bill)];
+  if (row.bucket != TimeCat::kCount) {
+    accounting_.Charge(cpu, row.bucket, d);
+  }
+  if (row.kind == kNoDomain || d <= sim::Duration::Zero()) {
+    return;
+  }
+  const size_t index = static_cast<size_t>(domain) * kNumDomainKinds + row.kind;
+  if (index >= m_domain_time_.size()) {
+    m_domain_time_.resize((static_cast<size_t>(domain) + 1) * kNumDomainKinds);
+  }
+  obs::Counter*& counter = m_domain_time_[index];
+  if (counter == nullptr) {
+    counter = obs::Registry::Default().GetCounter(
+        "domain/" + std::to_string(domain) + "/time_ps/" + kDomainKindNames[row.kind]);
+  }
+  counter->Add(static_cast<uint64_t>(d.picos()));
 }
 
 // ---- Awaitables ----
@@ -250,7 +306,7 @@ void Kernel::Dispatch(hw::CpuId cpu, Thread& t, sim::Duration extra, bool standa
   DIPC_CHECK(cs.running == nullptr);
   DIPC_CHECK(t.state() == ThreadState::kRunnable);
   if (cs.idle) {
-    accounting_.Charge(cpu, TimeCat::kIdle, now() - cs.idle_since);
+    Charge(cpu, hw::kInvalidDomainTag, BillOf(TimeCat::kIdle), now() - cs.idle_since);
     cs.idle = false;
   }
   cs.running = &t;
@@ -266,29 +322,24 @@ void Kernel::Dispatch(hw::CpuId cpu, Thread& t, sim::Duration extra, bool standa
   t.set_last_cpu(cpu);
   // Scheduler charges bill to the incoming thread's domain as kernel work
   // (after set_last_cpu so the attribution lands on this CPU's breakdown).
-  const uint32_t dom = static_cast<uint32_t>(t.cap_ctx().current_domain);
+  // A direct handoff pays only `extra`; the standard path also pays the
+  // pick, the register save/restore and, across processes, the current
+  // switch.
   const hw::CostModel& cm = costs();
+  const bool process_changed = cs.last_process != &t.process();
   sim::Duration cost = extra;
   if (standard_path) {
-    sim::Duration sched = cm.schedule_pick + cm.register_save + cm.register_restore;
-    accounting_.Charge(cpu, TimeCat::kSchedule, sched);
-    obs::ChargeDomainTime(dom, obs::DomainTimeKind::kKernel, sched.picos());
-    cost += sched;
-  } else if (extra > sim::Duration::Zero()) {
-    accounting_.Charge(cpu, TimeCat::kSchedule, extra);
-    obs::ChargeDomainTime(dom, obs::DomainTimeKind::kKernel, extra.picos());
-  }
-  if (cs.last_process != &t.process()) {
-    if (standard_path) {
-      accounting_.Charge(cpu, TimeCat::kSchedule, cm.current_switch);
-      obs::ChargeDomainTime(dom, obs::DomainTimeKind::kKernel, cm.current_switch.picos());
+    cost += cm.schedule_pick + cm.register_save + cm.register_restore;
+    if (process_changed) {
       cost += cm.current_switch;
     }
+  }
+  ChargeOnly(t, cost, BillOf(TimeCat::kSchedule));
+  if (process_changed) {
     if (cs.last_process != nullptr &&
         cs.last_process->page_table().id() != t.process().page_table().id()) {
       // CR3 write. dIPC-enabled processes share a page table and skip this.
-      accounting_.Charge(cpu, TimeCat::kPageTableSwitch, cm.page_table_switch);
-      obs::ChargeDomainTime(dom, obs::DomainTimeKind::kKernel, cm.page_table_switch.picos());
+      ChargeOnly(t, cm.page_table_switch, BillOf(TimeCat::kPageTableSwitch));
       cost += cm.page_table_switch;
     }
     machine_.cpu(cpu).set_active_page_table(t.process().page_table().id());
@@ -379,9 +430,9 @@ sim::Task<base::Status> Kernel::CopyFromUser(Env env, hw::PhysAddr kernel_pa,
   base::Status rs = UserRead(t, user_va, buf);
   DIPC_CHECK(rs.ok());
   machine_.mem().Write(kernel_pa, buf);
-  // Accounting category stays kKernel (the paper's Fig. 2 buckets), but the
-  // per-domain attribution calls it what it is: data-plane copy time.
-  co_await Spend(t, d, TimeCat::kKernel, obs::DomainTimeKind::kCopy);
+  // Fig. 2 counts the copy as kernel time; the domain books call it what it
+  // is: data-plane copy time.
+  co_await SpendAs(t, d, Bill::kCopy);
   co_return base::Status::Ok();
 }
 
@@ -398,7 +449,7 @@ sim::Task<base::Status> Kernel::CopyToUser(Env env, hw::VirtAddr user_va, hw::Ph
   machine_.mem().Read(kernel_pa, buf);
   base::Status ws = UserWrite(t, user_va, buf);
   DIPC_CHECK(ws.ok());
-  co_await Spend(t, d, TimeCat::kKernel, obs::DomainTimeKind::kCopy);
+  co_await SpendAs(t, d, Bill::kCopy);
   co_return base::Status::Ok();
 }
 

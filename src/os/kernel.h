@@ -32,24 +32,6 @@ namespace dipc::os {
 
 class WaitQueue;
 
-// Which per-domain time bucket a TimeCat charge bills to (obs domain-time
-// attribution). User code is the domain's own work; every kernel-side
-// category — crossings, dispatch, kernel work, scheduling, page-table
-// switches — is kernel work done on the domain's behalf; proxies bill
-// separately (they are the cost dIPC removes). Idle is nobody's time.
-constexpr obs::DomainTimeKind DomainKindFor(TimeCat cat) {
-  switch (cat) {
-    case TimeCat::kUser:
-      return obs::DomainTimeKind::kUser;
-    case TimeCat::kProxy:
-      return obs::DomainTimeKind::kProxy;
-    case TimeCat::kIdle:
-      return obs::DomainTimeKind::kCount;  // unattributed
-    default:
-      return obs::DomainTimeKind::kKernel;
-  }
-}
-
 class Kernel {
  public:
   Kernel(hw::Machine& machine, codoms::Codoms& codoms);
@@ -86,7 +68,7 @@ class Kernel {
 
   // ---- Time ----
 
-  // Charges `d` to `cat` (and to the thread's current process) and advances
+  // Charges `d` to `cat` (and to the thread's current domain) and advances
   // virtual time by suspending until now+d. Zero durations don't suspend.
   struct SpendAwaiter {
     Kernel* kernel;
@@ -97,27 +79,18 @@ class Kernel {
     void await_resume() {}
   };
   SpendAwaiter Spend(Thread& t, sim::Duration d, TimeCat cat) {
-    ChargeOnly(t, d, cat);
-    return SpendAwaiter{this, &t, d};
+    return SpendAs(t, d, BillOf(cat));
   }
-  // As Spend, but bills the domain-time attribution to an explicit bucket
-  // instead of DomainKindFor(cat) — copy_{from,to}_user charges kKernel
-  // accounting time but attributes it as data-plane copy work.
-  SpendAwaiter Spend(Thread& t, sim::Duration d, TimeCat cat, obs::DomainTimeKind kind) {
-    ChargeOnly(t, d, cat, kind);
-    return SpendAwaiter{this, &t, d};
-  }
-  // Accounting without time advancement; use only when combining several
-  // categories into one SpendAwaiter (see SpendTagged).
-  void ChargeOnly(Thread& t, sim::Duration d, TimeCat cat) {
-    ChargeOnly(t, d, cat, DomainKindFor(cat));
-  }
-  void ChargeOnly(Thread& t, sim::Duration d, TimeCat cat, obs::DomainTimeKind kind) {
-    accounting_.Charge(t.last_cpu(), cat, d);
-    t.process().ChargeCpu(d);
-    if (kind != obs::DomainTimeKind::kCount) {
-      obs::ChargeDomainTime(static_cast<uint32_t>(t.cap_ctx().current_domain), kind, d.picos());
+  // Bills `d` that `t` spent parked on a futex to its domain's futex_wait
+  // time. Blocked time lies in no Fig. 2 bucket and advances no clock.
+  void ChargeBlocked(Thread& t, sim::Duration d) { ChargeOnly(t, d, Bill::kBlocked); }
+  // Threads parked on any futex ("os/sched/futex_waiters"), resolved on the
+  // first park.
+  obs::Gauge* futex_waiters() {
+    if (m_futex_waiters_ == nullptr) {
+      m_futex_waiters_ = obs::Registry::Default().GetGauge("os/sched/futex_waiters");
     }
+    return m_futex_waiters_;
   }
   // Charges each (cat, d) pair, suspending once for the summed duration.
   // Variadic rather than initializer_list: init-list temporaries in co_await
@@ -131,7 +104,7 @@ class Kernel {
     sim::Duration total;
     (
         [&] {
-          ChargeOnly(t, items.d, items.cat);
+          ChargeOnly(t, items.d, BillOf(items.cat));
           total += items.d;
         }(),
         ...);
@@ -255,7 +228,7 @@ class Kernel {
     for (hw::CpuId c = 0; c < cpus_.size(); ++c) {
       CpuState& cs = cpus_[c];
       if (cs.idle) {
-        accounting_.Charge(c, TimeCat::kIdle, now() - cs.idle_since);
+        Charge(c, hw::kInvalidDomainTag, BillOf(TimeCat::kIdle), now() - cs.idle_since);
         cs.idle_since = now();
       }
     }
@@ -263,6 +236,26 @@ class Kernel {
 
  private:
   friend class WaitQueue;
+
+  // What one charge is billed as. Values below kNumTimeCats are the TimeCat
+  // buckets themselves; the two after them are the charges the per-domain
+  // books keep apart from the Fig. 2 buckets.
+  enum class Bill : uint8_t {
+    kCopy = kNumTimeCats,  // copy_{from,to}_user: Fig. 2 kernel, domain "copy"
+    kBlocked,              // a futex park: no Fig. 2 bucket, domain "futex_wait"
+  };
+  static constexpr Bill BillOf(TimeCat cat) { return static_cast<Bill>(cat); }
+
+  // The one charge path for simulated time: adds `d` on `cpu` to `bill`'s
+  // Fig. 2 bucket and to the time_ps counter of `bill`'s kind for `domain`.
+  void Charge(hw::CpuId cpu, hw::DomainTag domain, Bill bill, sim::Duration d);
+  void ChargeOnly(Thread& t, sim::Duration d, Bill bill) {
+    Charge(t.last_cpu(), t.cap_ctx().current_domain, bill, d);
+  }
+  SpendAwaiter SpendAs(Thread& t, sim::Duration d, Bill bill) {
+    ChargeOnly(t, d, bill);
+    return SpendAwaiter{this, &t, d};
+  }
 
   struct CpuState {
     Thread* running = nullptr;
@@ -300,6 +293,11 @@ class Kernel {
   // dispatches of already-running threads, and per-CPU run-queue depth.
   obs::Counter* m_migrations_ = nullptr;
   std::vector<obs::Gauge*> m_runq_depth_;
+  obs::Gauge* m_futex_waiters_ = nullptr;
+  // "domain/<tag>/time_ps/<kind>" handles at tag * kinds + kind, resolved
+  // on a domain's first charge of that kind (tags are dense and small, as
+  // AplTable::AllocateTag hands them out).
+  std::vector<obs::Counter*> m_domain_time_;
 };
 
 // A FIFO wait queue of threads; the building block of every blocking

@@ -12,7 +12,6 @@
 #include "hw/page_table.h"
 #include "hw/types.h"
 #include "os/objects.h"
-#include "sim/time.h"
 
 namespace dipc::os {
 
@@ -56,11 +55,6 @@ class Process {
   void SetVaBase(hw::VirtAddr base) { next_va_ = base; }
   hw::VirtAddr va_cursor() const { return next_va_; }
 
-  // Resource accounting (dIPC charges CPU time to the process a thread is
-  // currently executing in; §5.2.1).
-  void ChargeCpu(sim::Duration d) { cpu_time_ += d; }
-  sim::Duration cpu_time() const { return cpu_time_; }
-
  private:
   Pid pid_;
   std::string name_;
@@ -70,7 +64,6 @@ class Process {
   bool dipc_enabled_ = false;
   bool alive_ = true;
   hw::VirtAddr next_va_ = 0x10000;
-  sim::Duration cpu_time_;
 };
 
 }  // namespace dipc::os

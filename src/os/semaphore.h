@@ -19,14 +19,8 @@ namespace dipc::os {
 
 class Semaphore : public KernelObject {
  public:
-  explicit Semaphore(int64_t initial = 0) : count_(initial), obs_id_(obs::NewObjectId()) {
-    // Semaphores are created in bulk, so the metrics are process-wide
-    // aggregates; per-object attribution comes from the trace (obj = obs_id).
-    obs::Registry& reg = obs::Registry::Default();
-    m_futex_waits_ = reg.GetCounter("os/sem/futex_waits");
-    m_futex_wakes_ = reg.GetCounter("os/sem/futex_wakes");
-    m_park_ns_ = reg.GetHistogram("os/sem/park_ns");
-  }
+  explicit Semaphore(int64_t initial = 0)
+      : count_(initial), obs_id_(obs::NewObjectId()), m_(&SharedMetrics()) {}
 
   std::string_view type_name() const override { return "semaphore"; }
 
@@ -63,9 +57,8 @@ class Semaphore : public KernelObject {
     } else if (deadline.ExpiredAt(k.now())) {
       result = base::ErrorCode::kTimedOut;  // ETIMEDOUT without parking
     } else {
-      m_futex_waits_->Add();
-      obs::Gauge* waiters_gauge = obs::Registry::Default().GetGauge("os/sched/futex_waiters");
-      waiters_gauge->Add(1);
+      m_->futex_waits->Add();
+      k.futex_waiters()->Add(1);
       obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexQDepth, obs_id_,
                           static_cast<uint64_t>(waiters_.size() + 1), k.now());
       const sim::Time park_start = k.now();
@@ -86,10 +79,9 @@ class Semaphore : public KernelObject {
       }
       co_await waiters_.Wait(env);
       const sim::Duration parked = k.now() - park_start;
-      waiters_gauge->Sub(1);
-      obs::ChargeDomainTime(static_cast<uint32_t>(env.self->cap_ctx().current_domain),
-                            obs::DomainTimeKind::kFutexWait, parked.picos());
-      m_park_ns_->Record(parked.nanos());
+      k.futex_waiters()->Sub(1);
+      k.ChargeBlocked(*env.self, parked);
+      m_->park_ns->Record(parked.nanos());
       obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexPark, obs_id_, 0, k.now(),
                           parked);
       if (timer_fired) {
@@ -124,7 +116,7 @@ class Semaphore : public KernelObject {
     }
     co_await k.SyscallEnter(env);
     co_await k.Spend(*env.self, kFutexWakeKernel, TimeCat::kKernel);
-    m_futex_wakes_->Add();
+    m_->futex_wakes->Add();
     obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexWake, obs_id_, 1, k.now());
     sim::Duration ipi = k.MakeRunnable(*waiter, env.self->last_cpu());
     if (ipi > sim::Duration::Zero()) {
@@ -150,14 +142,29 @@ class Semaphore : public KernelObject {
   bool failed() const { return failed_; }
 
  private:
+  // Semaphores are created in bulk (one per fabric call), so the metrics
+  // are process-wide aggregates, resolved once; per-object attribution
+  // comes from the trace (obj = obs_id).
+  struct Metrics {
+    obs::Counter* futex_waits;
+    obs::Counter* futex_wakes;
+    obs::Histogram* park_ns;
+  };
+  static const Metrics& SharedMetrics() {
+    static const Metrics m = [] {
+      obs::Registry& reg = obs::Registry::Default();
+      return Metrics{reg.GetCounter("os/sem/futex_waits"), reg.GetCounter("os/sem/futex_wakes"),
+                     reg.GetHistogram("os/sem/park_ns")};
+    }();
+    return m;
+  }
+
   int64_t count_;
   bool failed_ = false;
   base::ErrorCode code_ = base::ErrorCode::kCalleeFailed;
   uint32_t obs_id_;
+  const Metrics* m_;
   WaitQueue waiters_;
-  obs::Counter* m_futex_waits_;
-  obs::Counter* m_futex_wakes_;
-  obs::Histogram* m_park_ns_;
 };
 
 }  // namespace dipc::os

@@ -28,6 +28,7 @@
 #include "obs/trace.h"
 #include "os/accounting.h"
 #include "os/kernel.h"
+#include "os/semaphore.h"
 
 namespace dipc::obs {
 namespace {
@@ -527,10 +528,10 @@ TEST(ObsFabric, RetriesAppearAsDistinctAttempts) {
   Trace().Clear();
 }
 
-// Sums the "domain/<tag>/time_ns/<kind>" counters out of a SnapshotJson for
+// Sums the "domain/<tag>/time_ps/<kind>" counters out of a SnapshotJson for
 // the CPU-time kinds (futex_wait is blocked time, deliberately excluded).
-double SumDomainCpuTimeNs(const std::string& snap) {
-  double sum = 0;
+uint64_t SumDomainCpuTimePs(const std::string& snap) {
+  uint64_t sum = 0;
   size_t pos = 0;
   while ((pos = snap.find("\"domain/", pos)) != std::string::npos) {
     const size_t name_end = snap.find('"', pos + 1);
@@ -539,22 +540,23 @@ double SumDomainCpuTimeNs(const std::string& snap) {
     }
     const std::string name = snap.substr(pos + 1, name_end - pos - 1);
     pos = name_end + 1;
-    if (name.find("/time_ns/futex_wait") != std::string::npos ||
-        name.find("/time_ns/") == std::string::npos) {
+    if (name.find("/time_ps/futex_wait") != std::string::npos ||
+        name.find("/time_ps/") == std::string::npos) {
       continue;
     }
     const size_t colon = snap.find(':', name_end);
     if (colon == std::string::npos) {
       break;
     }
-    sum += std::atof(snap.c_str() + colon + 1);
+    sum += std::strtoull(snap.c_str() + colon + 1, nullptr, 10);
   }
   return sum;
 }
 
-// Per-domain time attribution must close the books: the user/kernel/copy/
-// proxy domain counters sum to the kernel's busy (non-idle) accounting for
-// the same window, within 5% (sub-ns residue stays in the charge carry).
+// Per-domain time attribution closes the books exactly: every busy charge
+// writes its Fig. 2 bucket and its domain counter from one call, both in
+// picoseconds, so the user/kernel/copy/proxy domain counters sum to the
+// kernel's busy (non-idle) accounting for the same window.
 TEST(ObsDomainTime, DomainCpuTimeSumsMatchBusyAccounting) {
 #ifdef DIPC_OBS_OFF
   GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
@@ -572,12 +574,10 @@ TEST(ObsDomainTime, DomainCpuTimeSumsMatchBusyAccounting) {
   rig.kernel.Run();
   rig.kernel.FlushIdleAccounting();
   const os::TimeBreakdown total = rig.kernel.accounting().Summed();
-  const double busy_ns = (total.Total() - total[os::TimeCat::kIdle]).nanos();
-  ASSERT_GT(busy_ns, 0.0);
+  const int64_t busy_ps = (total.Total() - total[os::TimeCat::kIdle]).picos();
+  ASSERT_GT(busy_ps, 0);
   const std::string snap = Registry::Default().SnapshotJson();
-  const double domain_ns = SumDomainCpuTimeNs(snap);
-  EXPECT_GT(domain_ns, 0.0) << snap.substr(0, 400);
-  EXPECT_NEAR(domain_ns, busy_ns, busy_ns * 0.05)
+  EXPECT_EQ(SumDomainCpuTimePs(snap), static_cast<uint64_t>(busy_ps))
       << "per-domain attribution does not close against busy accounting";
   // Scheduler observability rides the same registry: the migration counter
   // and per-CPU run-queue gauges are registered at kernel construction.
@@ -585,32 +585,75 @@ TEST(ObsDomainTime, DomainCpuTimeSumsMatchBusyAccounting) {
   EXPECT_NE(snap.find("\"os/sched/cpu0/runq_depth\""), std::string::npos);
 }
 
-// The sub-ns carry is per (tag, kind): three 400 ps charges make exactly
-// 1 ns on one counter, and charges to another tag or kind never complete
-// each other's nanosecond.
-TEST(ObsDomainTime, SubNanosecondRemainderIsPerTagAndKind) {
+// Each charge lands in one Fig. 2 bucket (or none) and one domain kind:
+// user time in user, copy_{from,to}_user in copy and the kernel bucket,
+// scheduler and page-table switches in kernel, a futex park in futex_wait
+// and in no bucket at all.
+TEST(ObsDomainTime, ChargesRouteToOneBucketAndKind) {
 #ifdef DIPC_OBS_OFF
   GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
 #endif
-  Registry& reg = Registry::Default();
-  Counter* a = reg.GetCounter("domain/900/time_ns/user");
-  Counter* b = reg.GetCounter("domain/901/time_ns/user");
-  Counter* a_kernel = reg.GetCounter("domain/900/time_ns/kernel");
-  const uint64_t a0 = a->value();
-  const uint64_t b0 = b->value();
-  const uint64_t k0 = a_kernel->value();
-  ChargeDomainTime(900, DomainTimeKind::kUser, 400);
-  ChargeDomainTime(901, DomainTimeKind::kUser, 400);
-  ChargeDomainTime(900, DomainTimeKind::kKernel, 400);
-  ChargeDomainTime(900, DomainTimeKind::kUser, 400);
-  EXPECT_EQ(a->value(), a0);  // 800 ps on (900, user): no whole ns yet
-  ChargeDomainTime(900, DomainTimeKind::kUser, 400);
-  EXPECT_EQ(a->value(), a0 + 1);  // 1200 ps: 1 ns, 200 ps carried
-  EXPECT_EQ(b->value(), b0);
-  EXPECT_EQ(a_kernel->value(), k0);
-  ChargeDomainTime(901, DomainTimeKind::kUser, 600);
-  EXPECT_EQ(b->value(), b0 + 1);  // 400 + 600 ps on tag 901 alone
-  EXPECT_EQ(a->value(), a0 + 1);
+  Registry::Default().Reset();
+  hw::Machine machine{2};
+  codoms::Codoms codoms{machine};
+  os::Kernel kernel{machine, codoms};
+  os::Process& a = kernel.CreateProcess("a");
+  os::Process& b = kernel.CreateProcess("b");
+  auto time_ps = [](os::Process& p, const char* kind) {
+    return Registry::Default().GetCounter("domain/" + std::to_string(p.default_domain()) +
+                                          "/time_ps/" + kind);
+  };
+  Counter* a_user = time_ps(a, "user");
+  Counter* a_kernel = time_ps(a, "kernel");
+  Counter* a_copy = time_ps(a, "copy");
+  Counter* a_wait = time_ps(a, "futex_wait");
+  Counter* b_kernel = time_ps(b, "kernel");
+  auto buf = kernel.MapAnonymous(a, hw::kPageSize, hw::PageFlags{.writable = true});
+  ASSERT_TRUE(buf.ok());
+  const hw::PhysAddr kbuf = kernel.AllocKernelBuffer(hw::kPageSize);
+  os::Semaphore sem;
+  kernel.Spawn(
+      a, "a",
+      [&](os::Env env) -> sim::Task<void> {
+        os::Kernel& k = *env.kernel;
+        co_await k.Spend(*env.self, sim::Duration::Picos(400), os::TimeCat::kUser);
+        EXPECT_EQ(a_user->value(), 400u);
+
+        const os::TimeBreakdown before = k.accounting().Summed();
+        const uint64_t kernel0 = a_kernel->value();
+        EXPECT_TRUE((co_await k.CopyFromUser(env, kbuf, buf.value(), 256)).ok());
+        const os::TimeBreakdown copied = k.accounting().Summed() - before;
+        EXPECT_GT(copied[os::TimeCat::kKernel].picos(), 0);
+        EXPECT_EQ(copied.Total(), copied[os::TimeCat::kKernel]);
+        EXPECT_EQ(a_copy->value(), static_cast<uint64_t>(copied.Total().picos()));
+        EXPECT_EQ(a_kernel->value(), kernel0);
+
+        co_await sem.Wait(env);  // parks until `b` posts
+      },
+      /*pin_cpu=*/0);
+  kernel.Spawn(
+      b, "b",
+      [&](os::Env env) -> sim::Task<void> {
+        // Nothing of b's ran yet: its kernel time is the dispatch that
+        // switched CPU 0 from `a`'s page table to its own.
+        const hw::CostModel& cm = env.kernel->costs();
+        const sim::Duration sched =
+            cm.schedule_pick + cm.register_save + cm.register_restore + cm.current_switch;
+        EXPECT_EQ(b_kernel->value(), static_cast<uint64_t>((sched + cm.page_table_switch).picos()));
+        EXPECT_EQ(env.kernel->accounting().Summed()[os::TimeCat::kPageTableSwitch],
+                  cm.page_table_switch);
+        co_await env.kernel->Spend(*env.self, sim::Duration::Micros(5), os::TimeCat::kUser);
+        co_await sem.Post(env);
+      },
+      /*pin_cpu=*/0);
+  kernel.Run();
+  kernel.FlushIdleAccounting();
+  // The park is blocked time: futex_wait grew, yet the CPU-time kinds of
+  // both domains still sum exactly to the busy buckets.
+  EXPECT_GT(a_wait->value(), 0u);
+  const os::TimeBreakdown total = kernel.accounting().Summed();
+  EXPECT_EQ(SumDomainCpuTimePs(Registry::Default().SnapshotJson()),
+            static_cast<uint64_t>((total.Total() - total[os::TimeCat::kIdle]).picos()));
 }
 
 }  // namespace
