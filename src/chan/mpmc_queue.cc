@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "chan/futex.h"
-
 namespace dipc::chan {
 
 using os::TimeCat;
@@ -23,9 +21,10 @@ MpmcQueue::MpmcQueue(os::Kernel& kernel, os::Process& proc, uint32_t capacity, h
   obs::Registry& reg = obs::Registry::Default();
   m_blocked_pushes_ = reg.GetCounter(obs_name + "/blocked_pushes");
   m_blocked_pops_ = reg.GetCounter(obs_name + "/blocked_pops");
-  m_futex_wakes_ = reg.GetCounter(obs_name + "/futex_wakes");
+  obs::Counter* futex_wakes = reg.GetCounter(obs_name + "/futex_wakes");
   m_timeouts_ = reg.GetCounter(obs_name + "/timeouts");
   m_park_ns_ = reg.GetHistogram(obs_name + "/park_ns");
+  producers_ = consumers_ = os::Futex({obs_obj_, nullptr, futex_wakes}, /*probe_wakes=*/true);
 }
 
 void MpmcQueue::Prime(uint64_t value) {
@@ -46,24 +45,26 @@ void MpmcQueue::PushNoEnv(uint64_t value) {
   kernel_.machine().mem().Write(*pa, std::as_bytes(std::span(&value, 1)));
   ++tail_;
   ++count_;
-  if (os::Thread* t = consumers_.WakeOneThread()) {
-    (void)kernel_.MakeRunnable(*t, std::nullopt);
-  }
+  consumers_.WakeOne(kernel_);
 }
 
-sim::Task<void> MpmcQueue::WakeIfWaiting(os::Env env, os::WaitQueue& q,
-                                         const uint64_t& live_waiters) {
-  if (live_waiters == 0) {
-    co_return;  // suppressed: no syscall, no kernel work
+sim::Task<base::ErrorCode> MpmcQueue::Park(os::Env env, bool push, os::Deadline deadline,
+                                           uint64_t want) {
+  os::Kernel& k = *env.kernel;
+  ++(push ? blocked_pushes_ : blocked_pops_);
+  (push ? m_blocked_pushes_ : m_blocked_pops_)->Add();
+  auto blocked = [this, push] { return (push ? count_ == capacity_ : count_ == 0) && !closed_; };
+  const sim::Time park_start = k.now();
+  os::Futex& futex = push ? producers_ : consumers_;
+  const os::Futex::Woke woke = co_await futex.Park(env, deadline, blocked);
+  m_park_ns_->Record((k.now() - park_start).nanos());
+  if (woke == os::Futex::Woke::kTimedOut && blocked()) {
+    ++timeouts_;
+    m_timeouts_->Add();
+    obs::Trace().Record(env.self->last_cpu(), obs::EventType::kTimeout, obs_obj_, want, k.now());
+    co_return base::ErrorCode::kTimedOut;
   }
-  if (DIPC_FAULT_POINT(kFutexWake, env.self->last_cpu()).drop_wake()) {
-    co_return;  // injected lost wake; deadline-armed parks recover
-  }
-  ++futex_wakes_;
-  m_futex_wakes_->Add();
-  obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexWake, obs_obj_, live_waiters,
-                      env.kernel->now());
-  co_await FutexWakeCommitted(env, q);
+  co_return base::ErrorCode::kOk;
 }
 
 base::Status MpmcQueue::AccessSlots(os::Env env, uint64_t pos, std::span<const uint64_t> values,
@@ -139,23 +140,10 @@ sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> 
       if (closed_) {
         co_return code_;
       }
-      ++blocked_pushes_;
-      m_blocked_pushes_->Add();
-      ++waiting_pushes_;
-      sim::Time park_start = k.now();
-      bool expired = co_await FutexBlockUntil(
-          env, producers_, deadline, [&] { return count_ == capacity_ && !closed_; });
-      --waiting_pushes_;
-      sim::Duration parked = k.now() - park_start;
-      m_park_ns_->Record(parked.nanos());
-      obs::Trace().Record(self.last_cpu(), obs::EventType::kFutexPark, obs_obj_, 0, k.now(),
-                          parked);
-      if (expired && count_ == capacity_ && !closed_) {
-        ++timeouts_;
-        m_timeouts_->Add();
-        obs::Trace().Record(self.last_cpu(), obs::EventType::kTimeout, obs_obj_,
-                            values.size() - done, k.now());
-        co_return base::ErrorCode::kTimedOut;
+      const base::ErrorCode parked =
+          co_await Park(env, /*push=*/true, deadline, values.size() - done);
+      if (parked != base::ErrorCode::kOk) {
+        co_return parked;
       }
     }
     if (closed_) {
@@ -179,13 +167,13 @@ sim::Task<base::Status> MpmcQueue::PushN(os::Env env, std::span<const uint64_t> 
     co_await k.Spend(self, cost, TimeCat::kUser);
     // One (suppressed) wake per chunk; the woken consumer chains further
     // wakes while a backlog remains (see PopN), so one is enough.
-    co_await WakeIfWaiting(env, consumers_, waiting_pops_);
+    co_await consumers_.Wake(env);
   }
   // Wake chaining, producer side: when a consumer freed a multi-slot run it
   // woke only one producer; if room remains after this push, pass the wake
   // on so parked peers don't wait for the next pop.
   if (count_ < capacity_ && !closed_) {
-    co_await WakeIfWaiting(env, producers_, waiting_pushes_);
+    co_await producers_.Wake(env);
   }
   co_return base::Status::Ok();
 }
@@ -208,23 +196,9 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::PopN(os::Env env, std::span<uint64_
     if (closed_) {
       co_return code_;
     }
-    ++blocked_pops_;
-    m_blocked_pops_->Add();
-    ++waiting_pops_;
-    sim::Time park_start = k.now();
-    bool expired = co_await FutexBlockUntil(env, consumers_, deadline,
-                                            [&] { return count_ == 0 && !closed_; });
-    --waiting_pops_;
-    sim::Duration parked = k.now() - park_start;
-    m_park_ns_->Record(parked.nanos());
-    obs::Trace().Record(self.last_cpu(), obs::EventType::kFutexPark, obs_obj_, 1, k.now(),
-                        parked);
-    if (expired && count_ == 0 && !closed_) {
-      ++timeouts_;
-      m_timeouts_->Add();
-      obs::Trace().Record(self.last_cpu(), obs::EventType::kTimeout, obs_obj_, out.size(),
-                          k.now());
-      co_return base::ErrorCode::kTimedOut;
+    const base::ErrorCode parked = co_await Park(env, /*push=*/false, deadline, out.size());
+    if (parked != base::ErrorCode::kOk) {
+      co_return parked;
     }
   }
   if (!drain_allowed_) {
@@ -245,11 +219,11 @@ sim::Task<base::Result<uint64_t>> MpmcQueue::PopN(os::Env env, std::span<uint64_
   head_ += n;
   count_ -= n;
   co_await k.Spend(self, cost, TimeCat::kUser);
-  co_await WakeIfWaiting(env, producers_, waiting_pushes_);
+  co_await producers_.Wake(env);
   // Wake chaining, consumer side: a batched push woke only one consumer; if
   // a backlog remains, pass the wake on to the next parked consumer.
   if (count_ > 0) {
-    co_await WakeIfWaiting(env, consumers_, waiting_pops_);
+    co_await consumers_.Wake(env);
   }
   co_return n;
 }
@@ -260,25 +234,17 @@ void MpmcQueue::Close(base::ErrorCode code) {
   }
   closed_ = true;
   code_ = code;
-  WakeAllNoEnv();
+  // No Env here (teardown hooks): kernel-side wakes, like Pipe close.
+  producers_.WakeAll(kernel_);
+  consumers_.WakeAll(kernel_);
 }
 
 void MpmcQueue::Fail(base::ErrorCode code) {
   closed_ = true;
   drain_allowed_ = false;
   code_ = code;
-  WakeAllNoEnv();
-}
-
-void MpmcQueue::WakeAllNoEnv() {
-  // Close/Fail have no Env (they may run from teardown hooks); wakeups go
-  // through the scheduler with no waker-side cost, like Pipe close.
-  while (os::Thread* t = producers_.WakeOneThread()) {
-    (void)kernel_.MakeRunnable(*t, std::nullopt);
-  }
-  while (os::Thread* t = consumers_.WakeOneThread()) {
-    (void)kernel_.MakeRunnable(*t, std::nullopt);
-  }
+  producers_.WakeAll(kernel_);
+  consumers_.WakeAll(kernel_);
 }
 
 }  // namespace dipc::chan

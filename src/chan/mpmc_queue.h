@@ -8,9 +8,9 @@
 //
 // Batching: PushN/PopN move N slots per call, paying the fixed per-op
 // software toll (fast-path accounting + at most one futex wake) once per
-// batch instead of once per slot. Wakes are *suppressed* through live
-// waiter counters kept next to the queue words (the user-level futex
-// convention): a waker that reads a zero counter skips the FUTEX_WAKE
+// batch instead of once per slot. Producers and consumers park on one
+// os::Futex each, whose live-waiter count (the user-level futex convention)
+// suppresses wakes: a waker that reads a zero count skips the FUTEX_WAKE
 // syscall entirely, and a woken thread chains the wake onward when work or
 // space remains for further parked peers, so one wake per batch is enough
 // for liveness.
@@ -32,6 +32,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "os/deadline.h"
+#include "os/futex.h"
 #include "os/kernel.h"
 #include "sim/task.h"
 
@@ -93,16 +94,16 @@ class MpmcQueue {
   bool closed() const { return closed_; }
   uint64_t blocked_pushes() const { return blocked_pushes_; }
   uint64_t blocked_pops() const { return blocked_pops_; }
-  uint64_t futex_wakes() const { return futex_wakes_; }
+  uint64_t futex_wakes() const { return producers_.wakes() + consumers_.wakes(); }
   uint64_t timeouts() const { return timeouts_; }
   uint32_t obs_obj() const { return obs_obj_; }
 
  private:
   hw::VirtAddr SlotVa(uint64_t pos) const { return seg_.base + (pos % capacity_) * kSlotBytes; }
-  void WakeAllNoEnv();
-  // Wake-suppression gate: pays the FUTEX_WAKE only when the live waiter
-  // counter says someone is (or is about to be) parked on `q`.
-  sim::Task<void> WakeIfWaiting(os::Env env, os::WaitQueue& q, const uint64_t& live_waiters);
+  // One park of a blocked push (`push`) or pop, with the queue's stats.
+  // Returns kTimedOut when `deadline` passed with the queue still blocked
+  // (`want` slots outstanding), kOk otherwise: the caller re-checks.
+  sim::Task<base::ErrorCode> Park(os::Env env, bool push, os::Deadline deadline, uint64_t want);
   // Copies `n` values between `values` and the ring starting at `pos`,
   // split at the wrap point; accumulates the (batched) slot access cost.
   base::Status AccessSlots(os::Env env, uint64_t pos, std::span<const uint64_t> values,
@@ -120,23 +121,17 @@ class MpmcQueue {
   base::ErrorCode code_ = base::ErrorCode::kBrokenChannel;
   uint64_t blocked_pushes_ = 0;  // cumulative (stats)
   uint64_t blocked_pops_ = 0;    // cumulative (stats)
-  // Live waiter counts (the user-level futex counters): incremented before
-  // the kernel entry of a park, decremented on resume. A waker reading zero
-  // skips the wake syscall; reading nonzero commits to paying it.
-  uint64_t waiting_pushes_ = 0;
-  uint64_t waiting_pops_ = 0;
-  uint64_t futex_wakes_ = 0;  // wake syscalls actually issued (stats)
-  uint64_t timeouts_ = 0;     // parks that expired with the predicate still true
-  // Registry mirrors of the stats above, plus the park-time distribution;
-  // trace events carry obs_obj_ so a timeline attributes to this queue.
+  uint64_t timeouts_ = 0;        // parks that expired with the predicate still true
+  // Registry mirrors of the stats above, plus the park-time distribution
+  // (the futexes count their own wakes); trace events carry obs_obj_ so a
+  // timeline attributes to this queue.
   uint32_t obs_obj_ = 0;
   obs::Counter* m_blocked_pushes_ = nullptr;
   obs::Counter* m_blocked_pops_ = nullptr;
-  obs::Counter* m_futex_wakes_ = nullptr;
   obs::Counter* m_timeouts_ = nullptr;
   obs::Histogram* m_park_ns_ = nullptr;
-  os::WaitQueue producers_;
-  os::WaitQueue consumers_;
+  os::Futex producers_;
+  os::Futex consumers_;
 };
 
 }  // namespace dipc::chan

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "chan/desc.h"
-#include "chan/futex.h"
 #include "fault/fault.h"
 #include "obs/trace.h"
 
@@ -145,6 +144,7 @@ base::Status Plane::Open(core::Dipc& dipc, Gate gate, std::span<os::Process* con
 
 void Plane::RegisterMetrics() {
   obs_id_ = obs::NewObjectId();
+  credit_ = os::Futex({obs_id_});
   const std::string p = ObsPrefix(gate_, obs_id_) + "/";
   obs::Registry& reg = obs::Registry::Default();
   m_sends_ = reg.GetCounter(p + "sends");
@@ -301,10 +301,8 @@ sim::Task<base::ErrorCode> Plane::AwaitCredit(os::Env env, uint32_t line, uint64
     }
     ++blocked_on_credit_;
     m_blocked_on_credit_->Add();
-    ++credit_wait_count_;
-    bool expired = co_await FutexBlockUntil(env, credit_waiters_, deadline, blocked);
-    --credit_wait_count_;
-    if (expired && blocked()) {
+    const os::Futex::Woke woke = co_await credit_.Park(env, deadline, blocked);
+    if (woke == os::Futex::Woke::kTimedOut && blocked()) {
       // The deadline fired with the gate still closed; nothing was admitted
       // or granted, so the caller surfaces kTimedOut leak-free.
       obs::Trace().Record(env.self->last_cpu(), obs::EventType::kTimeout, obs_id_, need,
@@ -693,8 +691,8 @@ sim::Task<base::Status> Plane::Abandon(os::Env env, uint32_t p, std::span<const 
     // all that matters. Only dead-peer errors surface.
     co_return broken_ != base::ErrorCode::kOk ? base::Status(broken_) : base::Status::Ok();
   }
-  if (gate_ == Gate::kAdmission && credit_wait_count_ > 0) {
-    co_await FutexWakeCommitted(env, credit_waiters_);
+  if (gate_ == Gate::kAdmission) {
+    co_await credit_.Wake(env);
   }
   co_return base::Status::Ok();
 }
@@ -778,9 +776,7 @@ sim::Task<base::Result<std::vector<Msg>>> Plane::Recv(os::Env env, uint32_t r, u
         co_return broken_;
       }
     }
-    if (credit_wait_count_ > 0) {
-      co_await FutexWakeCommitted(env, credit_waiters_);
-    }
+    co_await credit_.Wake(env);
   }
   if (out.empty()) {
     co_return base::ErrorCode::kFault;  // every descriptor was corrupted
@@ -846,7 +842,7 @@ sim::Task<base::Status> Plane::Release(os::Env env, uint32_t r, std::span<const 
     }
   }
   // Returned credit may unblock a parked producer (wake-suppressed).
-  if (credit_wait_count_ > 0) {
+  if (credit_.waiters() > 0) {
     fault::Decision d = gate_ == Gate::kDelivery
                             ? DIPC_FAULT_POINT(kCreditGrant, env.self->last_cpu())
                             : DIPC_FAULT_POINT(kFanInCreditGrant, env.self->last_cpu());
@@ -859,7 +855,7 @@ sim::Task<base::Status> Plane::Release(os::Env env, uint32_t r, std::span<const 
     if (d.action == fault::Action::kDelay) {
       co_await k.Spend(*env.self, d.delay, TimeCat::kUser);
     }
-    co_await FutexWakeCommitted(env, credit_waiters_);
+    co_await credit_.Wake(env);
   }
   co_return base::Status::Ok();
 }
@@ -895,16 +891,10 @@ void Plane::Recycle(uint32_t index, std::vector<uint64_t>* freed) {
   freed->push_back(index);
 }
 
-void Plane::WakeCreditWaiters() {
-  while (os::Thread* t = credit_waiters_.WakeOneThread()) {
-    (void)kernel_->MakeRunnable(*t, std::nullopt);
-  }
-}
-
 void Plane::Close() {
   closed_ = true;
   ForEachQueue([](MpmcQueue& q) { q.Close(base::ErrorCode::kBrokenChannel); });
-  WakeCreditWaiters();
+  credit_.WakeAll(*kernel_);
 }
 
 uint64_t Plane::LiveGrantCount() const {
@@ -943,7 +933,7 @@ void Plane::OnProcessDeath(os::Process& proc) {
   if (any) {
     // A dead laggard no longer gates the producer, and threads of a dead
     // incarnation must wake to see kCalleeFailed.
-    WakeCreditWaiters();
+    credit_.WakeAll(*kernel_);
   }
 }
 
@@ -975,7 +965,7 @@ void Plane::Break() {
   Bump(m_revokes_, revoked);
   obs::Trace().Record(0, obs::EventType::kCapRevoke, obs_id_, revoked, kernel_->now());
   ForEachQueue([](MpmcQueue& q) { q.Fail(base::ErrorCode::kCalleeFailed); });
-  WakeCreditWaiters();
+  credit_.WakeAll(*kernel_);
 }
 
 void Plane::Excise(Side side, uint32_t i) {
@@ -1053,7 +1043,7 @@ base::Status Plane::Rebind(Side side, uint32_t i, os::Process& proc) {
   e.credits = credit_line_;
   e.m_credits->Set(static_cast<int64_t>(credit_line_));
   e.alive = true;
-  WakeCreditWaiters();
+  credit_.WakeAll(*kernel_);
   return base::Status::Ok();
 }
 

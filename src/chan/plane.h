@@ -19,8 +19,9 @@
 //     capability-storage slot. The payload never moves; cost is O(1) in
 //     message size.
 //   - Control flow is a free-buffer MpmcQueue plus one descriptor FIFO per
-//     receiver, in a control segment every endpoint domain can access;
-//     blocking uses the futex path, so an idle endpoint costs nothing.
+//     receiver, in a control segment every endpoint domain can access.
+//     The queues and the credit gate block through os::Futex, so an idle
+//     endpoint costs nothing and every park and wake pays one futex path.
 //
 // Epoch-cached grants: each (endpoint, slot) capability is minted through the
 // runtime's APL exactly once and then *cached*; ownership rotates by
@@ -62,6 +63,7 @@
 #include "dipc/dipc.h"
 #include "obs/metrics.h"
 #include "os/deadline.h"
+#include "os/futex.h"
 #include "os/kernel.h"
 #include "sim/task.h"
 
@@ -292,7 +294,6 @@ class Plane {
   void Recycle(uint32_t index, std::vector<uint64_t>* freed);
   void Break();
   void Excise(Side side, uint32_t i);
-  void WakeCreditWaiters();
 
   os::Kernel* kernel_ = nullptr;
   Gate gate_ = Gate::kNone;
@@ -317,8 +318,7 @@ class Plane {
   std::vector<std::optional<codoms::Capability>> wtmpl_;
   std::vector<std::optional<codoms::Capability>> rtmpl_;
   std::vector<std::optional<codoms::Capability>> rcaps_;
-  os::WaitQueue credit_waiters_;
-  uint64_t credit_wait_count_ = 0;  // live waiter counter (wake suppression)
+  os::Futex credit_;  // producers parked on a closed credit gate
   bool closed_ = false;
   base::ErrorCode broken_ = base::ErrorCode::kOk;
   uint32_t rr_next_ = 0;

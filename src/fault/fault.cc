@@ -165,8 +165,6 @@ base::Result<Plan> Plan::Parse(std::string_view text, std::string* error) {
   return plan;
 }
 
-#ifndef DIPC_FAULT_OFF
-
 Injector& Injector::Global() {
   static Injector* injector = new Injector();
   return *injector;
@@ -260,7 +258,5 @@ Decision Injector::Fire(size_t rule_index, std::string_view point, uint32_t cpu)
   return Decision{rule.action,
                   rule.action == Action::kDelay ? rule.delay : sim::Duration::Zero()};
 }
-
-#endif  // DIPC_FAULT_OFF
 
 }  // namespace dipc::fault

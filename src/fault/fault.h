@@ -10,9 +10,7 @@
 // fault sequence; the injector keeps a padding-free decision log that tests
 // memcmp across runs to prove it.
 //
-// Disarmed, a probe is one branch on a plain bool. Compiled with
-// -DDIPC_FAULT_OFF the whole class collapses to a constexpr-false stub and
-// every probe block is dead-code-eliminated — call sites carry no #ifdefs.
+// Disarmed, a probe is one branch on a plain bool.
 //
 // Plan text format (one directive per line, '#' comments):
 //   seed <n>
@@ -130,8 +128,6 @@ constexpr uint64_t HashPoint(std::string_view s) {
   return h;
 }
 
-#ifndef DIPC_FAULT_OFF
-
 class Injector {
  public:
   // The process-wide injector every probe site consults.
@@ -141,7 +137,8 @@ class Injector {
   // Re-arming resets all counters, the RNG stream and the log.
   void Arm(Plan plan, const sim::EventQueue* clock);
   void Disarm();
-  bool armed() const { return armed_; }
+  // Static, so a disarmed probe site reads one plain bool and makes no call.
+  static bool armed() { return armed_; }
 
   // Handler invoked synchronously inside Probe for kKill rules; receives
   // Rule::victim. The harness resolves names to processes and calls
@@ -165,7 +162,7 @@ class Injector {
 
   Decision Fire(size_t rule_index, std::string_view point, uint32_t cpu);
 
-  bool armed_ = false;
+  static inline bool armed_ = false;  // of the one Global() injector
   Plan plan_;
   const sim::EventQueue* clock_ = nullptr;
   sim::Rng rng_{1};
@@ -177,29 +174,6 @@ class Injector {
   std::vector<FiredRecord> log_;
 };
 
-#else  // DIPC_FAULT_OFF: constexpr-false stub; probe blocks compile away.
-
-class Injector {
- public:
-  static Injector& Global() {
-    static Injector stub;
-    return stub;
-  }
-  void Arm(Plan, const sim::EventQueue*) {}
-  void Disarm() {}
-  static constexpr bool armed() { return false; }
-  void SetKillHandler(std::function<void(const std::string&)>) {}
-  Decision Probe(std::string_view, uint32_t = 0) { return {}; }
-  uint64_t probe_count() const { return 0; }
-  uint64_t fire_count() const { return 0; }
-  const std::vector<FiredRecord>& log() const {
-    static const std::vector<FiredRecord> empty;
-    return empty;
-  }
-};
-
-#endif  // DIPC_FAULT_OFF
-
 // Shorthand for the global injector.
 inline Injector& Global() { return Injector::Global(); }
 
@@ -207,13 +181,12 @@ inline Injector& Global() { return Injector::Global(); }
 
 // The one sanctioned probe-site spelling: consults the global injector at a
 // manifest point (a bare `points::` ident from probes.def), paying a single
-// branch when disarmed and vanishing entirely under -DDIPC_FAULT_OFF
-// (armed() is constexpr false, so the whole ternary folds to `Decision{}`).
+// branch when disarmed.
 // Optional trailing argument: the probing CPU, for trace attribution.
 // tools/dipclint's PROBE-MANIFEST rule checks every use of this macro
 // against probes.def; raw Injector::Probe calls in src/ are lint findings.
 #define DIPC_FAULT_POINT(point, ...)                                        \
-  (::dipc::fault::Injector::Global().armed()                                \
+  (::dipc::fault::Injector::armed()                                         \
        ? ::dipc::fault::Injector::Global().Probe(                           \
              ::dipc::fault::points::point __VA_OPT__(, ) __VA_ARGS__)       \
        : ::dipc::fault::Decision{})

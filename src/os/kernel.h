@@ -332,6 +332,15 @@ class WaitQueue {
     return nullptr;
   }
 
+  // Kernel-side wake of every parked thread (close, fail and death paths).
+  // `waker` is the CPU the waking code runs on, if any; no waker cost is
+  // paid.
+  void WakeAll(Kernel& kernel, std::optional<hw::CpuId> waker) {
+    while (Thread* t = WakeOneThread()) {
+      (void)kernel.MakeRunnable(*t, waker);
+    }
+  }
+
   bool Remove(Thread* t) {
     for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
       if (*it == t) {

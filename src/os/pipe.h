@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "base/result.h"
+#include "os/byte_ring.h"
 #include "os/kernel.h"
 #include "sim/task.h"
 
@@ -18,10 +19,11 @@ class Pipe {
   // Kernel pipe path per op: locking, vfs dispatch, buffer management.
   static constexpr sim::Duration kKernelPath = sim::Duration::Nanos(260.0);
 
-  explicit Pipe(Kernel& kernel) : kernel_(kernel), buf_pa_(kernel.AllocKernelBuffer(kCapacity)) {}
+  explicit Pipe(Kernel& kernel) : kernel_(kernel), ring_(kernel, kCapacity) {}
 
   // Blocking write of the full `len` bytes (POSIX semantics for <= PIPE_BUF
-  // generalized: we loop until everything is in the ring).
+  // generalized: we loop until everything is in the ring). Fails with
+  // kBrokenChannel after CloseWriteEnd.
   sim::Task<base::Result<uint64_t>> Write(Env env, hw::VirtAddr va, uint64_t len);
 
   // Blocking read of up to `len` bytes; returns 0 at EOF (writer closed).
@@ -29,21 +31,11 @@ class Pipe {
 
   void CloseWriteEnd();
 
-  uint64_t fill() const { return fill_; }
+  uint64_t fill() const { return ring_.fill(); }
 
  private:
-  // Copies between user memory and the ring, splitting at the wrap point.
-  sim::Task<base::Status> RingIn(Env env, hw::VirtAddr va, uint64_t len);
-  sim::Task<base::Status> RingOut(Env env, hw::VirtAddr va, uint64_t len);
-
   Kernel& kernel_;
-  hw::PhysAddr buf_pa_;
-  uint64_t rpos_ = 0;
-  uint64_t wpos_ = 0;
-  uint64_t fill_ = 0;
-  bool write_closed_ = false;
-  WaitQueue readers_;
-  WaitQueue writers_;
+  ByteRing ring_;
 };
 
 // fd-table wrappers.

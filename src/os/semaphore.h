@@ -1,8 +1,9 @@
 // POSIX-style semaphore built on a futex (§2.2's "Sem." primitive).
 //
 // Uncontended operations stay in user space (one atomic); contended ones
-// take the full syscall + futex path, and wakeups pay IPI costs when the
-// waiter sits on another CPU.
+// park and hand off through os::Futex, so a wait pays the futex syscall
+// path and a post to a parked waiter pays the wake syscall and, when the
+// waiter sits on another CPU, the IPI.
 #ifndef DIPC_OS_SEMAPHORE_H_
 #define DIPC_OS_SEMAPHORE_H_
 
@@ -10,8 +11,8 @@
 
 #include "base/result.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "os/deadline.h"
+#include "os/futex.h"
 #include "os/kernel.h"
 #include "sim/task.h"
 
@@ -19,27 +20,23 @@ namespace dipc::os {
 
 class Semaphore : public KernelObject {
  public:
-  explicit Semaphore(int64_t initial = 0)
-      : count_(initial), obs_id_(obs::NewObjectId()), m_(&SharedMetrics()) {}
+  explicit Semaphore(int64_t initial = 0) : count_(initial), futex_(SharedTelemetry()) {}
 
   std::string_view type_name() const override { return "semaphore"; }
 
   // Calibration (documented in hw/cost_model.h's header comment): glibc
-  // sem_wait/sem_post user fast path, and the kernel futex wait/wake work.
+  // sem_wait/sem_post user fast path.
   static constexpr sim::Duration kUserFastPath = sim::Duration::Nanos(9.0);
-  static constexpr sim::Duration kFutexWaitKernel = sim::Duration::Nanos(140.0);
-  static constexpr sim::Duration kFutexWakeKernel = sim::Duration::Nanos(130.0);
 
   // Timed, failure-aware wait. Returns kOk with a token consumed, kTimedOut
   // when a finite `deadline` expires first (no token consumed), or the
-  // Fail() code when the semaphore's owner died. The failed_ re-check after
-  // the kernel entry closes the historical hang: a Fail() landing between
-  // the user-space predicate check and the park issued its wakes while this
-  // thread was still entering the kernel, so parking anyway would sleep on
-  // an object nobody will ever post again.
+  // Fail() code when the semaphore's owner died. The outcome is settled in
+  // the kernel: a Post that raced the kernel entry leaves its token to take,
+  // and a Fail() landing while this thread entered the kernel (or before it
+  // resumed) fails the wait instead of parking it on an object nobody will
+  // ever post again.
   sim::Task<base::Status> WaitUntil(Env env, Deadline deadline = {}) {
-    Kernel& k = *env.kernel;
-    co_await k.Spend(*env.self, kUserFastPath, TimeCat::kUser);
+    co_await env.kernel->Spend(*env.self, kUserFastPath, TimeCat::kUser);
     if (failed_) {
       co_return code_;
     }
@@ -47,56 +44,19 @@ class Semaphore : public KernelObject {
       --count_;  // uncontended: futex not entered
       co_return base::Status::Ok();
     }
-    co_await k.SyscallEnter(env);
-    co_await k.Spend(*env.self, kFutexWaitKernel, TimeCat::kKernel);
     base::Status result = base::Status::Ok();
-    if (failed_) {
-      result = code_;  // owner died while we were entering the kernel
-    } else if (count_ > 0) {
-      --count_;  // raced with a post while entering the kernel
-    } else if (deadline.ExpiredAt(k.now())) {
-      result = base::ErrorCode::kTimedOut;  // ETIMEDOUT without parking
-    } else {
-      m_->futex_waits->Add();
-      k.futex_waiters()->Add(1);
-      obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexQDepth, obs_id_,
-                          static_cast<uint64_t>(waiters_.size() + 1), k.now());
-      const sim::Time park_start = k.now();
-      // Deadline timer, same shape as chan::FutexBlockUntil: it only acts
-      // while the thread is still parked (a same-instant Post wins by FIFO
-      // event order and Remove then returns false).
-      bool timer_fired = false;
-      sim::EventId timer = sim::kInvalidEventId;
-      if (!deadline.never()) {
-        Thread* self = env.self;
-        timer = k.machine().events().ScheduleAt(deadline.at(),
-                                                [&k, this, self, &timer_fired] {
-                                                  if (waiters_.Remove(self)) {
-                                                    timer_fired = true;
-                                                    (void)k.MakeRunnable(*self, std::nullopt);
-                                                  }
-                                                });
-      }
-      co_await waiters_.Wait(env);
-      const sim::Duration parked = k.now() - park_start;
-      k.futex_waiters()->Sub(1);
-      k.ChargeBlocked(*env.self, parked);
-      m_->park_ns->Record(parked.nanos());
-      obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexPark, obs_id_, 0, k.now(),
-                          parked);
-      if (timer_fired) {
-        result = base::ErrorCode::kTimedOut;
-      } else {
-        if (timer != sim::kInvalidEventId) {
-          (void)k.machine().events().Cancel(timer);
-        }
-        if (failed_) {
-          result = code_;  // woken by Fail, not by a Post: no token was handed
-        }
-        // Otherwise woken by Post: the token was handed to us directly.
-      }
-    }
-    co_await k.SyscallExit(env);
+    (void)co_await futex_.Park(
+        env, deadline, [this] { return !failed_ && count_ == 0; },
+        [&](Futex::Woke woke) {
+          if (woke == Futex::Woke::kTimedOut) {
+            result = base::ErrorCode::kTimedOut;
+          } else if (failed_) {
+            result = code_;  // no token was handed
+          } else if (woke == Futex::Woke::kNotBlocked) {
+            --count_;  // raced with a post while entering the kernel
+          }
+          // Otherwise woken by Post: the token was handed over directly.
+        });
     co_return result;
   }
 
@@ -107,22 +67,11 @@ class Semaphore : public KernelObject {
   sim::Task<void> Wait(Env env) { (void)co_await WaitUntil(env, Deadline::Never()); }
 
   sim::Task<void> Post(Env env) {
-    Kernel& k = *env.kernel;
-    co_await k.Spend(*env.self, kUserFastPath, TimeCat::kUser);
-    Thread* waiter = waiters_.WakeOneThread();
-    if (waiter == nullptr) {
+    co_await env.kernel->Spend(*env.self, kUserFastPath, TimeCat::kUser);
+    const bool handed = co_await futex_.HandOff(env);
+    if (!handed) {
       ++count_;  // nobody waiting: user-space only
-      co_return;
     }
-    co_await k.SyscallEnter(env);
-    co_await k.Spend(*env.self, kFutexWakeKernel, TimeCat::kKernel);
-    m_->futex_wakes->Add();
-    obs::Trace().Record(env.self->last_cpu(), obs::EventType::kFutexWake, obs_id_, 1, k.now());
-    sim::Duration ipi = k.MakeRunnable(*waiter, env.self->last_cpu());
-    if (ipi > sim::Duration::Zero()) {
-      co_await k.Spend(*env.self, ipi, TimeCat::kKernel);
-    }
-    co_await k.SyscallExit(env);
   }
 
   // Owner-death teardown: latches `code`, wakes every parked waiter with it
@@ -132,39 +81,33 @@ class Semaphore : public KernelObject {
   void Fail(Kernel& kernel, base::ErrorCode code) {
     failed_ = true;
     code_ = code;
-    while (Thread* t = waiters_.WakeOneThread()) {
-      (void)kernel.MakeRunnable(*t, std::nullopt);
-    }
+    futex_.WakeAll(kernel);
   }
 
   int64_t count() const { return count_; }
-  size_t waiter_count() const { return waiters_.size(); }
+  size_t waiter_count() const { return futex_.parked(); }
   bool failed() const { return failed_; }
 
  private:
   // Semaphores are created in bulk (one per fabric call), so the metrics
   // are process-wide aggregates, resolved once; per-object attribution
-  // comes from the trace (obj = obs_id).
-  struct Metrics {
-    obs::Counter* futex_waits;
-    obs::Counter* futex_wakes;
-    obs::Histogram* park_ns;
-  };
-  static const Metrics& SharedMetrics() {
-    static const Metrics m = [] {
+  // comes from the trace (obj = a fresh id per semaphore).
+  static Futex::Telemetry SharedTelemetry() {
+    static const Futex::Telemetry shared = [] {
       obs::Registry& reg = obs::Registry::Default();
-      return Metrics{reg.GetCounter("os/sem/futex_waits"), reg.GetCounter("os/sem/futex_wakes"),
-                     reg.GetHistogram("os/sem/park_ns")};
+      return Futex::Telemetry{0, reg.GetCounter("os/sem/futex_waits"),
+                              reg.GetCounter("os/sem/futex_wakes"),
+                              reg.GetHistogram("os/sem/park_ns")};
     }();
-    return m;
+    Futex::Telemetry t = shared;
+    t.obj = obs::NewObjectId();
+    return t;
   }
 
   int64_t count_;
   bool failed_ = false;
   base::ErrorCode code_ = base::ErrorCode::kCalleeFailed;
-  uint32_t obs_id_;
-  const Metrics* m_;
-  WaitQueue waiters_;
+  Futex futex_;
 };
 
 }  // namespace dipc::os

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "base/result.h"
+#include "os/byte_ring.h"
 #include "os/kernel.h"
 #include "sim/task.h"
 
@@ -22,7 +23,7 @@ namespace dipc::os {
 
 class UnixStreamEnd;
 
-// Shared state of a connected socket pair: one ring + waiters per direction.
+// Shared state of a connected socket pair: one ring per direction.
 class UnixStreamCore {
  public:
   static constexpr uint64_t kBufSize = 64 * 1024;
@@ -39,13 +40,8 @@ class UnixStreamCore {
   friend class UnixStreamEnd;
 
   struct Direction {
-    hw::PhysAddr buf_pa = 0;
-    uint64_t rpos = 0;
-    uint64_t wpos = 0;
-    uint64_t fill = 0;
-    bool closed = false;
-    WaitQueue readers;
-    WaitQueue writers;
+    explicit Direction(Kernel& kernel) : ring(kernel, kBufSize) {}
+    ByteRing ring;
     std::deque<std::shared_ptr<KernelObject>> passed_objects;
   };
 
@@ -78,7 +74,7 @@ class UnixStreamEnd : public KernelObject {
 
   void Close();
 
-  uint64_t rx_fill() const { return core_->dirs_[1 - side_].fill; }
+  uint64_t rx_fill() const { return core_->dirs_[1 - side_].ring.fill(); }
 
  private:
   UnixStreamCore::Direction& tx() { return core_->dirs_[side_]; }

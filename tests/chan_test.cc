@@ -98,7 +98,7 @@ TEST_F(ChanTest, MpmcFifoWakeupsAreFairAcrossConsumers) {
 }
 
 TEST_F(ChanTest, MpmcTightCapacityStressLosesNoWakeups) {
-  // Regression: FutexBlock used to park unconditionally after its syscall
+  // Regression: the futex park used to park unconditionally after its syscall
   // suspension points, so a wake issued while the blocker was still
   // entering the kernel found no parked thread and was lost — both sides
   // could park forever. Capacity 1 with peers on different CPUs crosses

@@ -42,9 +42,6 @@ OltpConfig ChaosConfig(std::string plan) {
 }
 
 TEST(ChaosTest, SupervisedFabricSurvivesWorkerMurder) {
-#ifdef DIPC_FAULT_OFF
-  GTEST_SKIP() << "fault injection compiled out (-DDIPC_FAULT_OFF)";
-#endif
   OltpResult r = RunOltp(ChaosConfig(
       "seed 11\n"
       "rule chan/send kill every=800 victim=php-worker max=4\n"));
@@ -55,9 +52,6 @@ TEST(ChaosTest, SupervisedFabricSurvivesWorkerMurder) {
 }
 
 TEST(ChaosTest, FullSweepCompletesEveryRequestExactlyOnce) {
-#ifdef DIPC_FAULT_OFF
-  GTEST_SKIP() << "fault injection compiled out (-DDIPC_FAULT_OFF)";
-#endif
   // With DIPC_CHAOS_TRACE=<path>, the run is traced and a FAILING sweep
   // exports the event ring as a Chrome trace for the CI artifact — the
   // forensic record of the seed that broke exactly-once.
@@ -87,9 +81,6 @@ TEST(ChaosTest, FullSweepCompletesEveryRequestExactlyOnce) {
 }
 
 TEST(ChaosTest, MultiTenantFabricSweepKeepsExactlyOnce) {
-#ifdef DIPC_FAULT_OFF
-  GTEST_SKIP() << "fault injection compiled out (-DDIPC_FAULT_OFF)";
-#endif
   // The N x M plane sweep: 8 tenant client domains share 4 PHP workers, so
   // one murdered worker tears a receiver slot out of 8 fan-out request
   // planes and a producer line out of 8 fan-in response planes at once —
@@ -123,9 +114,6 @@ TEST(ChaosTest, MultiTenantFabricSweepKeepsExactlyOnce) {
 }
 
 TEST(ChaosTest, SameSeedAndPlanReplaysIdentically) {
-#ifdef DIPC_FAULT_OFF
-  GTEST_SKIP() << "fault injection compiled out (-DDIPC_FAULT_OFF)";
-#endif
   const OltpConfig cfg = ChaosConfig(
       "seed 23\n"
       "rule chan/send kill every=700 victim=php-worker max=3\n"
@@ -145,11 +133,9 @@ TEST(ChaosTest, SameSeedAndPlanReplaysIdentically) {
   EXPECT_EQ(r1.duplicate_completions, r2.duplicate_completions);
   EXPECT_EQ(r1.faults_injected, r2.faults_injected);
   ASSERT_EQ(log1.size(), log2.size());
-#ifndef DIPC_FAULT_OFF
   EXPECT_GT(log1.size(), 0u);
   ASSERT_EQ(0, std::memcmp(log1.data(), log2.data(),
                            log1.size() * sizeof(fault::FiredRecord)));
-#endif
 }
 
 TEST(ChaosTest, NoPlanMeansNoFaultsAndNoRetries) {

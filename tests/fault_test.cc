@@ -17,8 +17,6 @@ namespace {
 
 using sim::Duration;
 
-#ifndef DIPC_FAULT_OFF
-
 // Every test arms the process-wide singleton; disarm on the way out so no
 // state bleeds into unrelated suites running in the same process.
 class FaultTest : public ::testing::Test {
@@ -216,8 +214,6 @@ TEST_F(FaultTest, RearmResetsAllState) {
   EXPECT_EQ(inj.fire_count(), 0u);
   EXPECT_TRUE(inj.Probe(points::kChanSend).fail());
 }
-
-#endif  // !DIPC_FAULT_OFF
 
 }  // namespace
 }  // namespace dipc::fault

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "codoms/codoms.h"
+#include "fault/fault.h"
 #include "hw/machine.h"
 #include "os/kernel.h"
 #include "os/pipe.h"
@@ -364,6 +366,67 @@ TEST_F(OsTest, SocketPassesKernelObjects) {
   });
   kernel_.Run();
   EXPECT_EQ(received_type, "semaphore");
+}
+
+TEST_F(OsTest, UnixSendOnFullBufferFailsWhenPeerCloses) {
+  Process& p = kernel_.CreateProcess("p");
+  auto [a, b] = UnixStreamCore::CreatePair(kernel_);
+  constexpr uint64_t kLen = UnixStreamCore::kBufSize + 4096;  // parks for room
+  auto buf = kernel_.MapAnonymous(p, kLen, hw::PageFlags{.writable = true});
+  ASSERT_TRUE(buf.ok());
+  std::optional<base::ErrorCode> sent;
+  kernel_.Spawn(p, "writer", [&, a = a](Env env) -> sim::Task<void> {
+    auto n = co_await a->Send(env, buf.value(), kLen);
+    sent = n.ok() ? base::ErrorCode::kOk : n.code();
+  });
+  kernel_.Spawn(p, "closer", [&, b = b](Env env) -> sim::Task<void> {
+    co_await env.kernel->Sleep(env, Duration::Micros(500));
+    b->Close();
+  });
+  kernel_.Run();
+  ASSERT_TRUE(sent.has_value()) << "the writer is still parked after its peer closed";
+  EXPECT_EQ(*sent, base::ErrorCode::kBrokenChannel);
+}
+
+// A kFutexPark delay rule lengthens a semaphore's futex entry by exactly the
+// rule's delay: the waiter spends that much more kernel time before it
+// parks, and still wakes when the post lands.
+TEST(OsFaultTest, FutexParkDelayRuleDelaysSemaphoreParkExactly) {
+  constexpr Duration kDelay = Duration::Nanos(700);
+  struct Run {
+    Duration kernel;
+    sim::Time end;
+    uint64_t fires = 0;
+  };
+  auto run = [](bool armed) {
+    hw::Machine machine(4);
+    codoms::Codoms codoms(machine);
+    Kernel kernel(machine, codoms);
+    if (armed) {
+      auto plan = fault::Plan::Parse("rule chan/futex_park delay at=1 delay_ns=700\n");
+      EXPECT_TRUE(plan.ok());
+      fault::Global().Arm(plan.value(), &machine.events());
+    }
+    Process& p = kernel.CreateProcess("p");
+    auto sem = std::make_shared<Semaphore>(0);
+    kernel.Spawn(p, "waiter", [sem](Env env) -> sim::Task<void> {
+      EXPECT_TRUE((co_await sem->WaitUntil(env)).ok());
+    }, 0);
+    kernel.Spawn(p, "poster", [sem](Env env) -> sim::Task<void> {
+      co_await env.kernel->Sleep(env, Duration::Micros(20));
+      co_await sem->Post(env);
+    }, 1);
+    kernel.Run();
+    Run r{kernel.accounting().Summed()[TimeCat::kKernel], kernel.now(),
+          fault::Global().fire_count()};
+    fault::Global().Disarm();
+    return r;
+  };
+  const Run base = run(false);
+  const Run delayed = run(true);
+  EXPECT_EQ(delayed.fires, 1u);
+  EXPECT_EQ(delayed.kernel - base.kernel, kDelay);
+  EXPECT_EQ(delayed.end, base.end);
 }
 
 TEST_F(OsTest, NamedListenerAcceptsConnections) {

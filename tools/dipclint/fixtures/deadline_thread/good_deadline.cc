@@ -1,7 +1,7 @@
 // The compliant shape: a defaulted os::Deadline parameter (default = Never
-// preserves untimed callers) threaded through to FutexBlockUntil.
-#include "chan/futex.h"
+// preserves untimed callers) threaded through to os::Futex::Park.
 #include "os/deadline.h"
+#include "os/futex.h"
 #include "sim/task.h"
 
 namespace dipc::chan {

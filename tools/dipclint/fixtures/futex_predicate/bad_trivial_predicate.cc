@@ -1,16 +1,12 @@
 // dipclint-path: src/apps/fix/bad_trivial_predicate.cc
 // A constant-true predicate defeats the wake-precedes-park re-check: a
 // wake issued between the caller's own test and the park is lost forever.
-#include "chan/futex.h"
+#include "os/futex.h"
 
 namespace dipc {
 
-sim::Task<void> ParkForever(os::Env env, os::WaitQueue& q) {
-  co_await chan::FutexBlock(env, q, [] { return true; });
-}
-
-sim::Task<void> ParkBounded(os::Env env, os::WaitQueue& q, os::Deadline d) {
-  (void)co_await chan::FutexBlockUntil(env, q, d, nullptr);
+sim::Task<void> ParkForever(os::Env env, os::Futex& futex) {
+  (void)co_await futex.Park(env, os::Deadline::Never(), [] { return true; });
 }
 
 }  // namespace dipc

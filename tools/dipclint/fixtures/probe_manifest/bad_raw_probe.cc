@@ -1,6 +1,6 @@
 // dipclint-path: src/apps/fix/bad_raw_probe.cc
 // Raw Injector access outside src/fault/: bypasses the manifest macro, so
-// the site neither compiles out under DIPC_FAULT_OFF nor stays listed.
+// the site is not listed in the probe manifest.
 #include "fault/fault.h"
 
 namespace dipc {

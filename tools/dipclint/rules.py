@@ -7,11 +7,10 @@ driver applies NOLINT-DIPC suppressions afterwards, so rules just report.
 Rules (see README "Static analysis" for the catalog):
   CAP-LEAK         acquired send buffers must reach a consuming call on
                    every path (flow walk over the statement tree)
-  FUTEX-PREDICATE  FutexBlock[Until] must receive a real still-blocked
+  FUTEX-PREDICATE  os::Futex::Park must receive a real still-blocked
                    predicate
-  DEADLINE-THREAD  public blocking channel/fabric/semaphore APIs must
-                   accept an os::Deadline (and nobody calls the untimed
-                   FutexBlock outside its home header)
+  DEADLINE-THREAD  public blocking channel/fabric/semaphore/futex APIs
+                   must accept an os::Deadline
   PROBE-MANIFEST   DIPC_FAULT_POINT idents must exist in probes.def; raw
                    Injector.Probe calls are reserved to src/fault/
   METRIC-SCHEMA    registered metric names must be derivable from
@@ -387,7 +386,9 @@ def rule_cap_leak(fm: FileModel, ctx: RepoContext) -> list[Finding]:
 
 # ---- FUTEX-PREDICATE ------------------------------------------------------
 
-_FUTEX_ARITY = {"FutexBlock": 3, "FutexBlockUntil": 4}
+# Member calls `.Park(env, deadline, still_blocked[, settle])` on an
+# os::Futex: the predicate is the third argument.
+_FUTEX_ARITY = {"Park": 3}
 
 
 def rule_futex_predicate(fm: FileModel, ctx: RepoContext) -> list[Finding]:
@@ -395,6 +396,8 @@ def rule_futex_predicate(fm: FileModel, ctx: RepoContext) -> list[Finding]:
     toks = fm.code
     for i, t in enumerate(toks):
         if t.kind != IDENT or t.text not in _FUTEX_ARITY:
+            continue
+        if i == 0 or toks[i - 1].text not in (".", "->"):
             continue
         if i + 1 >= len(toks) or toks[i + 1].text != "(":
             continue
@@ -404,10 +407,10 @@ def rule_futex_predicate(fm: FileModel, ctx: RepoContext) -> list[Finding]:
         if len(args) < want:
             out.append(Finding(
                 "FUTEX-PREDICATE", fm.path, t.line,
-                f"{t.text} takes a still-blocked predicate as its last "
-                f"argument ({len(args)} of {want} arguments given)"))
+                f"{t.text} takes a still-blocked predicate as argument {want} "
+                f"({len(args)} arguments given)"))
             continue
-        pred = args[-1]
+        pred = args[want - 1]
         if len(pred) == 1 and pred[0].text in ("true", "false", "nullptr"):
             out.append(Finding(
                 "FUTEX-PREDICATE", fm.path, t.line,
@@ -433,8 +436,8 @@ def rule_futex_predicate(fm: FileModel, ctx: RepoContext) -> list[Finding]:
 # ---- DEADLINE-THREAD ------------------------------------------------------
 
 _DEADLINE_SCOPE = ("src/chan/", "src/fabric/")
-_DEADLINE_FILES = ("src/os/semaphore.h",)
-_BLOCKING_VERB = re.compile(r"^(Acquire|Recv|Push|Pop|Wait|Write|Read|Call)")
+_DEADLINE_FILES = ("src/os/futex.h", "src/os/semaphore.h")
+_BLOCKING_VERB = re.compile(r"^(Acquire|Recv|Push|Pop|Park|Wait|Write|Read|Call)")
 
 
 def _deadline_in_scope(path: str) -> bool:
@@ -478,16 +481,6 @@ def rule_deadline_thread(fm: FileModel, ctx: RepoContext) -> list[Finding]:
             seen.add(key)
             check(f.name, f.line, f.lead, f.params, f.lead_line)
 
-    # Nobody outside the futex header may park without a deadline path.
-    if fm.path != "src/chan/futex.h":
-        toks = fm.code
-        for i, t in enumerate(toks):
-            if t.kind == IDENT and t.text == "FutexBlock" and \
-                    i + 1 < len(toks) and toks[i + 1].text == "(":
-                out.append(Finding(
-                    "DEADLINE-THREAD", fm.path, t.line,
-                    "untimed FutexBlock call; use FutexBlockUntil and thread "
-                    "the caller's os::Deadline through"))
     return out
 
 
@@ -515,8 +508,7 @@ def rule_probe_manifest(fm: FileModel, ctx: RepoContext) -> list[Finding]:
             out.append(Finding(
                 "PROBE-MANIFEST", fm.path, t.line,
                 "raw Injector Probe call; use DIPC_FAULT_POINT(<ident>) so "
-                "the site stays in the manifest and compiles out under "
-                "DIPC_FAULT_OFF"))
+                "the site stays in the manifest"))
     return out
 
 
