@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 
@@ -774,10 +775,9 @@ double MeasureFabricEcho(const FabricEchoConfig& config) {
   return (t_end - t0).nanos() / (total - warmup);
 }
 
-JsonEmitter::JsonEmitter(std::string name, int* argc, char** argv) : name_(std::move(name)) {
-  for (int i = 1; i < *argc;) {
+JsonEmitter::JsonEmitter(std::string name, int argc, char** argv) : name_(std::move(name)) {
+  for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    bool strip = true;
     if (std::strcmp(arg, "--json") == 0) {
       enabled_ = true;
     } else if (std::strcmp(arg, "--metrics") == 0) {
@@ -790,17 +790,11 @@ JsonEmitter::JsonEmitter(std::string name, int* argc, char** argv) : name_(std::
         trace_path_ = "BENCH_" + name_ + ".trace.json";
       }
     } else {
-      strip = false;
-    }
-    if (strip) {
-      // Shift including the argv[argc] null terminator the C runtime
-      // guarantees, preserving that invariant for later parsers.
-      for (int j = i; j < *argc; ++j) {
-        argv[j] = argv[j + 1];
-      }
-      --*argc;
-    } else {
-      ++i;
+      std::fprintf(stderr,
+                   "%s: unknown argument '%s'\n"
+                   "usage: %s [--json] [--metrics] [--trace[=path]]\n",
+                   argv[0], arg, argv[0]);
+      std::exit(2);
     }
   }
   if (tracing()) {

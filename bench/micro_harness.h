@@ -118,12 +118,10 @@ struct FabricEchoConfig {
 };
 double MeasureFabricEcho(const FabricEchoConfig& config);
 
-// --json flag support: benches record (series, x, value) rows and, when the
-// flag was passed, write them to BENCH_<name>.json on destruction — the
-// machine-readable perf trajectory consumed by CI. The constructor strips
-// the flag from argv so benchmark::Initialize never sees it.
-//
-// Observability flags (also stripped):
+// The benches' one command-line parser. Benches record (series, x, value)
+// rows; with --json they are written to BENCH_<name>.json on destruction,
+// the machine-readable perf trajectory consumed by CI. Flags:
+//   --json           write BENCH_<name>.json.
 //   --metrics        embed the obs::Registry snapshot as a "metrics" object
 //                    in BENCH_<name>.json (or print it to stdout when --json
 //                    is absent).
@@ -133,9 +131,10 @@ double MeasureFabricEcho(const FabricEchoConfig& config);
 //                    modeled per-event cost, so traced numbers are *not*
 //                    comparable with untraced ones — CI runs --trace as a
 //                    separate invocation.
+// Any other argument prints a usage line to stderr and exits with status 2.
 class JsonEmitter {
  public:
-  JsonEmitter(std::string name, int* argc, char** argv);
+  JsonEmitter(std::string name, int argc, char** argv);
   JsonEmitter(const JsonEmitter&) = delete;
   JsonEmitter& operator=(const JsonEmitter&) = delete;
   ~JsonEmitter();

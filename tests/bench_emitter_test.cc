@@ -18,7 +18,7 @@
 namespace dipc::bench {
 namespace {
 
-// Builds a mutable argv the emitter can strip flags from.
+// Builds a null-terminated argv in the shape main() receives.
 struct Argv {
   explicit Argv(std::vector<std::string> args) : storage(std::move(args)) {
     for (auto& a : storage) {
@@ -48,7 +48,7 @@ TEST(BenchEmitter, BeginSeriesIsolatesMetricsPerSeries) {
   std::remove(path.c_str());
   {
     Argv av({"bench", "--json", "--metrics"});
-    JsonEmitter json("emitter_iso_test", &av.argc, av.ptrs.data());
+    JsonEmitter json("emitter_iso_test", av.argc, av.ptrs.data());
     ASSERT_TRUE(json.enabled());
     ASSERT_TRUE(json.metrics());
     json.BeginSeries("window_a");
@@ -100,7 +100,7 @@ TEST(BenchEmitter, Fig2StyleSeriesWindowsIsolateSimulatorCounters) {
   std::remove(path.c_str());
   {
     Argv av({"bench", "--json", "--metrics"});
-    JsonEmitter json("emitter_fig2_test", &av.argc, av.ptrs.data());
+    JsonEmitter json("emitter_fig2_test", av.argc, av.ptrs.data());
     MicroConfig cfg{.arg_bytes = 1, .rounds = 40, .cross_cpu = false};
     json.BeginSeries("sem_first");
     json.Row("sem_first", 0, MeasureSemaphore(cfg).roundtrip_ns);
@@ -133,7 +133,7 @@ TEST(BenchEmitter, NoBeginSeriesKeepsWholeRunSnapshot) {
   std::remove(path.c_str());
   {
     Argv av({"bench", "--json", "--metrics"});
-    JsonEmitter json("emitter_whole_test", &av.argc, av.ptrs.data());
+    JsonEmitter json("emitter_whole_test", av.argc, av.ptrs.data());
     obs::Registry::Default().GetCounter("emitter_test/y")->Add(4);
     json.Row("a", 1, 10.0);
     obs::Registry::Default().GetCounter("emitter_test/y")->Add(4);
@@ -155,7 +155,7 @@ TEST(BenchEmitter, MetricsFlagOffMakesBeginSeriesFree) {
   std::remove(path.c_str());
   {
     Argv av({"bench", "--json"});
-    JsonEmitter json("emitter_off_test", &av.argc, av.ptrs.data());
+    JsonEmitter json("emitter_off_test", av.argc, av.ptrs.data());
     json.BeginSeries("window_a");
     obs::Registry::Default().GetCounter("emitter_test/z")->Add(7);
     json.Row("a", 1, 10.0);
@@ -169,6 +169,18 @@ TEST(BenchEmitter, MetricsFlagOffMakesBeginSeriesFree) {
   ASSERT_FALSE(body.empty());
   EXPECT_EQ(body.find("\"metrics\""), std::string::npos) << body;
   std::remove(path.c_str());
+}
+
+// The emitter is the benches' only argument parser: a mistyped flag must
+// stop the bench instead of running it without the output that was asked
+// for.
+TEST(BenchEmitter, UnknownFlagPrintsUsageAndExits) {
+  EXPECT_EXIT(
+      {
+        Argv av({"bench", "--metrics", "--jsn"});
+        JsonEmitter json("emitter_usage_test", av.argc, av.ptrs.data());
+      },
+      testing::ExitedWithCode(2), "unknown argument '--jsn'.*\n.*usage: .*--json");
 }
 
 }  // namespace
