@@ -5,13 +5,12 @@
 // stays flat until cache effects. The L1$/L2$ knees come out of the cache
 // model.
 #include <cstdio>
-#include <vector>
+#include <string>
 
 #include "micro_harness.h"
 
 namespace {
 
-using dipc::bench::DipcMicroConfig;
 using dipc::bench::MeasureDipc;
 using dipc::bench::MeasureDipcUserRpc;
 using dipc::bench::MeasureFunction;
@@ -30,24 +29,26 @@ void PrintFig6(dipc::bench::JsonEmitter& json) {
     int rounds = n >= (1 << 16) ? 40 : 150;
     MicroConfig same{.arg_bytes = n, .rounds = rounds, .cross_cpu = false};
     MicroConfig cross{.arg_bytes = n, .rounds = rounds, .cross_cpu = true};
-    double func = MeasureFunction(same).roundtrip_ns;
-    double sys = MeasureSyscall(same).roundtrip_ns - func;
-    double sem = MeasureSemaphore(cross).roundtrip_ns - func;
-    double pipe = MeasurePipe(cross).roundtrip_ns - func;
-    double rpc = MeasureLocalRpc(cross).roundtrip_ns - func;
-    double dl = MeasureDipc({.cross_process = false, .high_policy = false, .arg_bytes = n,
-                             .rounds = rounds})
-                    .roundtrip_ns -
-                func;
-    double dh = MeasureDipc({.cross_process = false, .high_policy = true, .arg_bytes = n,
-                             .rounds = rounds})
-                    .roundtrip_ns -
-                func;
-    double dpl = MeasureDipc({.cross_process = true, .high_policy = false, .arg_bytes = n,
-                              .rounds = rounds})
-                     .roundtrip_ns -
-                 func;
-    double urpc = MeasureDipcUserRpc(cross).roundtrip_ns - func;
+    // One metrics series per measured (primitive, size) point.
+    auto point = [&](const char* series, auto&& measure) {
+      json.BeginSeries(std::string(series) + "_" + std::to_string(n));
+      return measure().roundtrip_ns;
+    };
+    auto dipc = [&](bool cross_process, bool high_policy) {
+      return [=] {
+        return MeasureDipc({.cross_process = cross_process, .high_policy = high_policy,
+                            .arg_bytes = n, .rounds = rounds});
+      };
+    };
+    double func = point("func", [&] { return MeasureFunction(same); });
+    double sys = point("syscall", [&] { return MeasureSyscall(same); }) - func;
+    double sem = point("sem", [&] { return MeasureSemaphore(cross); }) - func;
+    double pipe = point("pipe", [&] { return MeasurePipe(cross); }) - func;
+    double rpc = point("rpc", [&] { return MeasureLocalRpc(cross); }) - func;
+    double dl = point("dipc_low", dipc(false, false)) - func;
+    double dh = point("dipc_high", dipc(false, true)) - func;
+    double dpl = point("dipc_proc_low", dipc(true, false)) - func;
+    double urpc = point("user_rpc", [&] { return MeasureDipcUserRpc(cross); }) - func;
     std::printf("%9llu %9.0f %9.0f %9.0f %9.0f %9.1f %9.1f %9.1f %9.0f\n",
                 static_cast<unsigned long long>(n), sys, sem, pipe, rpc, dl, dh, dpl, urpc);
     json.Row("syscall", n, sys);

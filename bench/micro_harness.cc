@@ -818,12 +818,13 @@ void JsonEmitter::BeginSeries(const std::string& label) {
 }
 
 JsonEmitter::~JsonEmitter() {
+  // A bench whose output is missing must not exit 0: every failed open,
+  // write or close ends the process with status 1 once both files are tried.
+  bool written = true;
   if (tracing()) {
-    if (obs::Trace().ExportChromeTrace(trace_path_)) {
-      std::fprintf(stderr, "wrote %s\n", trace_path_.c_str());
-    } else {
-      std::fprintf(stderr, "JsonEmitter: cannot write %s\n", trace_path_.c_str());
-    }
+    written = obs::Trace().ExportChromeTrace(trace_path_);
+    std::fprintf(stderr, written ? "wrote %s\n" : "JsonEmitter: cannot write %s\n",
+                 trace_path_.c_str());
     obs::Trace().Disable();
   }
   if (metrics_ && !open_series_.empty()) {
@@ -841,13 +842,20 @@ JsonEmitter::~JsonEmitter() {
         }
       }
     }
-    return;
+  } else {
+    written = WriteJson() && written;
   }
-  std::string path = "BENCH_" + name_ + ".json";
+  if (!written) {
+    std::exit(1);
+  }
+}
+
+bool JsonEmitter::WriteJson() const {
+  const std::string path = "BENCH_" + name_ + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "JsonEmitter: cannot write %s\n", path.c_str());
-    return;
+    return false;
   }
   std::fprintf(f, "{\"bench\": \"%s\", \"unit\": \"ns\", \"rows\": [", name_.c_str());
   for (size_t i = 0; i < rows_.size(); ++i) {
@@ -872,8 +880,13 @@ JsonEmitter::~JsonEmitter() {
     }
   }
   std::fprintf(f, "}\n");
-  std::fclose(f);
+  const bool ok = !std::ferror(f);
+  if (std::fclose(f) != 0 || !ok) {
+    std::fprintf(stderr, "JsonEmitter: cannot write %s\n", path.c_str());
+    return false;
+  }
   std::fprintf(stderr, "wrote %s (%zu rows)\n", path.c_str(), rows_.size());
+  return true;
 }
 
 }  // namespace dipc::bench

@@ -132,6 +132,8 @@ double MeasureFabricEcho(const FabricEchoConfig& config);
 //                    comparable with untraced ones — CI runs --trace as a
 //                    separate invocation.
 // Any other argument prints a usage line to stderr and exits with status 2.
+// The destructor writes the files and exits with status 1 if either cannot
+// be written.
 class JsonEmitter {
  public:
   JsonEmitter(std::string name, int argc, char** argv);
@@ -152,6 +154,10 @@ class JsonEmitter {
   void BeginSeries(const std::string& label);
 
  private:
+  // Writes BENCH_<name>.json; false when the open, a write or the close
+  // fails.
+  bool WriteJson() const;
+
   std::string name_;
   bool enabled_ = false;
   bool metrics_ = false;

@@ -8,22 +8,22 @@ namespace dipc::chan {
 using os::TimeCat;
 
 MpmcQueue::MpmcQueue(os::Kernel& kernel, os::Process& proc, uint32_t capacity, hw::DomainTag tag,
-                     std::string obs_name, uint32_t obs_obj)
+                     std::optional<obs::QueueScope> scope)
     : kernel_(kernel), pt_(&proc.page_table()), capacity_(capacity) {
   DIPC_CHECK(capacity > 0);
   auto seg = MapSegment(kernel, proc, uint64_t{capacity} * kSlotBytes, tag);
   DIPC_CHECK(seg.ok());
   seg_ = seg.value();
-  obs_obj_ = obs_obj != 0 ? obs_obj : obs::NewObjectId();
-  if (obs_name.empty()) {
-    obs_name = "mpmc/" + std::to_string(obs_obj_);
+  if (!scope.has_value()) {
+    scope.emplace(obs::kMpmcQueue, obs::NewObjectId());
   }
+  obs_obj_ = scope->ids[0];
   obs::Registry& reg = obs::Registry::Default();
-  m_blocked_pushes_ = reg.GetCounter(obs_name + "/blocked_pushes");
-  m_blocked_pops_ = reg.GetCounter(obs_name + "/blocked_pops");
-  obs::Counter* futex_wakes = reg.GetCounter(obs_name + "/futex_wakes");
-  m_timeouts_ = reg.GetCounter(obs_name + "/timeouts");
-  m_park_ns_ = reg.GetHistogram(obs_name + "/park_ns");
+  m_blocked_pushes_ = reg.Get(obs::kQueueBlockedPushes, *scope);
+  m_blocked_pops_ = reg.Get(obs::kQueueBlockedPops, *scope);
+  obs::Counter* futex_wakes = reg.Get(obs::kQueueFutexWakes, *scope);
+  m_timeouts_ = reg.Get(obs::kQueueTimeouts, *scope);
+  m_park_ns_ = reg.Get(obs::kQueueParkNs, *scope);
   producers_ = consumers_ = os::Futex({obs_obj_, nullptr, futex_wakes}, /*probe_wakes=*/true);
 }
 

@@ -24,8 +24,8 @@
 #define DIPC_CHAN_MPMC_QUEUE_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
-#include <string>
 
 #include "base/result.h"
 #include "chan/segment.h"
@@ -43,13 +43,12 @@ class MpmcQueue {
   static constexpr uint64_t kSlotBytes = 8;
 
   // Maps a `capacity`-slot segment through `proc`, tagged `tag` (callers
-  // grant `tag` to every participating domain). `obs_name` prefixes the
-  // queue's metrics ("<obs_name>/blocked_pushes", ...; empty picks
-  // "mpmc/<fresh id>") and `obs_obj` is the trace-event object id (0
-  // allocates a fresh one); owners pass their own id so queue events
-  // attribute to the channel they serve.
+  // grant `tag` to every participating domain). `scope` names the queue's
+  // metrics ("<scope>/blocked_pushes", ...; none picks "mpmc/<fresh id>"),
+  // and its first id is the trace-event object id, so an owner that passes
+  // its own scope gets queue events attributed to the channel they serve.
   MpmcQueue(os::Kernel& kernel, os::Process& proc, uint32_t capacity, hw::DomainTag tag,
-            std::string obs_name = {}, uint32_t obs_obj = 0);
+            std::optional<obs::QueueScope> scope = std::nullopt);
 
   // Setup-time enqueue: no cost, no blocking (used to pre-fill free lists).
   void Prime(uint64_t value);

@@ -1,7 +1,6 @@
 #include "chan/plane.h"
 
 #include <algorithm>
-#include <string>
 
 #include "chan/desc.h"
 #include "fault/fault.h"
@@ -40,13 +39,20 @@ bool Distinct(std::span<const T> xs, Index index) {
   return true;
 }
 
-// "<chan|fanout|fanin>/<id>": the registry prefix of a plane's metrics.
-std::string ObsPrefix(Gate gate, uint32_t obs_id) {
-  std::string p = gate == Gate::kDelivery    ? "fanout/"
-                  : gate == Gate::kAdmission ? "fanin/"
-                                             : "chan/";
-  return p + std::to_string(obs_id);
-}
+// The rows a gated plane's metrics differ by: fan-out counts per receiver,
+// fan-in per producer.
+struct GatedRows {
+  obs::Metric<obs::Counter, 1> sends, recvs, blocked_on_credit;
+  obs::Metric<obs::Counter, 2> line_traffic;
+  obs::Metric<obs::Gauge, 2> line_credits;
+  obs::Metric<obs::Histogram, 2> line_stall_ns;
+};
+constexpr GatedRows kFanOutRows{
+    obs::kFanOutSends, obs::kFanOutRecvs, obs::kFanOutBlockedOnCredit,
+    obs::kFanOutRxDeliveries, obs::kFanOutRxCredits, obs::kFanOutRxCreditStallNs};
+constexpr GatedRows kFanInRows{
+    obs::kFanInSends, obs::kFanInRecvs, obs::kFanInBlockedOnCredit,
+    obs::kFanInTxSends, obs::kFanInTxCredits, obs::kFanInTxCreditStallNs};
 
 }  // namespace
 
@@ -111,9 +117,11 @@ base::Status Plane::Open(core::Dipc& dipc, Gate gate, std::span<os::Process* con
   if (gate == Gate::kNone) {
     rx_[0].desc = MakeDesc(0);
   }
+  const obs::QueueScopeRow<1> free_scope = gate == Gate::kDelivery    ? obs::kFanOutFreeQueue
+                                           : gate == Gate::kAdmission ? obs::kFanInFreeQueue
+                                                                      : obs::kChanFreeQueue;
   free_ = std::make_unique<MpmcQueue>(*kernel_, *home_, cfg.slots, ctrl_tag_,
-                                      ObsPrefix(gate, obs_id_) + "/free",
-                                      obs_id_);
+                                      obs::QueueScope(free_scope, obs_id_));
   for (uint32_t i = 0; i < cfg.slots; ++i) {
     free_->Prime(i);
   }
@@ -145,32 +153,34 @@ base::Status Plane::Open(core::Dipc& dipc, Gate gate, std::span<os::Process* con
 void Plane::RegisterMetrics() {
   obs_id_ = obs::NewObjectId();
   credit_ = os::Futex({obs_id_});
-  const std::string p = ObsPrefix(gate_, obs_id_) + "/";
+  const uint32_t id = obs_id_;
   obs::Registry& reg = obs::Registry::Default();
-  m_sends_ = reg.GetCounter(p + "sends");
-  m_recvs_ = reg.GetCounter(p + "recvs");
   if (gate_ == Gate::kNone) {
-    m_acquires_ = reg.GetCounter(p + "acquires");
-    m_releases_ = reg.GetCounter(p + "releases");
-    m_cold_mints_ = reg.GetCounter(p + "cold_mints");
-    m_rebinds_ = reg.GetCounter(p + "rebinds");
-    m_revokes_ = reg.GetCounter(p + "revokes");
-    m_send_batch_ = reg.GetHistogram(p + "send_batch");
-    m_recv_batch_ = reg.GetHistogram(p + "recv_batch");
+    m_sends_ = reg.Get(obs::kChanSends, id);
+    m_recvs_ = reg.Get(obs::kChanRecvs, id);
+    m_acquires_ = reg.Get(obs::kChanAcquires, id);
+    m_releases_ = reg.Get(obs::kChanReleases, id);
+    m_cold_mints_ = reg.Get(obs::kChanColdMints, id);
+    m_rebinds_ = reg.Get(obs::kChanRebinds, id);
+    m_revokes_ = reg.Get(obs::kChanRevokes, id);
+    m_send_batch_ = reg.Get(obs::kChanSendBatch, id);
+    m_recv_batch_ = reg.Get(obs::kChanRecvBatch, id);
     return;
   }
   const bool delivery = gate_ == Gate::kDelivery;
-  m_blocked_on_credit_ = reg.GetCounter(p + "blocked_on_credit");
+  const GatedRows& rows = delivery ? kFanOutRows : kFanInRows;
+  m_sends_ = reg.Get(rows.sends, id);
+  m_recvs_ = reg.Get(rows.recvs, id);
+  m_blocked_on_credit_ = reg.Get(rows.blocked_on_credit, id);
   if (delivery) {
-    m_deliveries_ = reg.GetCounter(p + "deliveries");
-    m_group_stall_ns_ = reg.GetHistogram(p + "credit_stall_ns");
+    m_deliveries_ = reg.Get(obs::kFanOutDeliveries, id);
+    m_group_stall_ns_ = reg.Get(obs::kFanOutCreditStallNs, id);
   }
   for (uint32_t i = 0; i < lines().size(); ++i) {
     Endpoint& e = lines()[i];
-    const std::string lp = p + (delivery ? "rx/" : "tx/") + std::to_string(i) + "/";
-    e.m_traffic = reg.GetCounter(lp + (delivery ? "deliveries" : "sends"));
-    e.m_credits = reg.GetGauge(lp + "credits");
-    e.m_stall_ns = reg.GetHistogram(lp + "credit_stall_ns");
+    e.m_traffic = reg.Get(rows.line_traffic, id, i);
+    e.m_credits = reg.Get(rows.line_credits, id, i);
+    e.m_stall_ns = reg.Get(rows.line_stall_ns, id, i);
     e.m_credits->Set(credit_line_);
   }
 }
@@ -180,10 +190,13 @@ std::unique_ptr<MpmcQueue> Plane::MakeDesc(uint32_t r) {
   // in-flight slot comes out of the pool. Either way a publish never waits
   // for FIFO room.
   const bool delivery = gate_ == Gate::kDelivery;
-  std::string name = ObsPrefix(gate_, obs_id_);
-  name += delivery ? "/rx/" + std::to_string(r) + "/desc" : std::string("/desc");
+  const obs::QueueScope scope =
+      delivery ? obs::QueueScope(obs::kFanOutRxDescQueue, obs_id_, r)
+               : obs::QueueScope(
+                     gate_ == Gate::kAdmission ? obs::kFanInDescQueue : obs::kChanDescQueue,
+                     obs_id_);
   return std::make_unique<MpmcQueue>(*kernel_, *home_, delivery ? credit_line_ : cfg_.slots,
-                                     ctrl_tag_, std::move(name), obs_id_);
+                                     ctrl_tag_, scope);
 }
 
 template <typename F>

@@ -1,7 +1,5 @@
 #include "codoms/codoms.h"
 
-#include <string>
-
 #include "base/check.h"
 #include "fault/fault.h"
 
@@ -13,9 +11,9 @@ Codoms::Codoms(hw::Machine& machine) : machine_(machine) {
     apl_caches_.push_back(std::make_unique<AplCache>());
   }
   obs::Registry& reg = obs::Registry::Default();
-  m_mints_ = reg.GetCounter("codoms/mints");
-  m_rebinds_ = reg.GetCounter("codoms/rebinds");
-  m_revokes_ = reg.GetCounter("codoms/revokes");
+  m_mints_ = reg.Get(obs::kCodomsMints);
+  m_rebinds_ = reg.Get(obs::kCodomsRebinds);
+  m_revokes_ = reg.Get(obs::kCodomsRevokes);
 }
 
 Codoms::CacheRef Codoms::EnsureCached(hw::CpuId cpu, DomainTag tag) {
@@ -179,9 +177,14 @@ base::Result<Capability> Codoms::CapFromApl(hw::CpuId cpu, const hw::PageTable& 
   m_mints_->Add();
   // Attribute the mint to the minting domain (the runtime domain for
   // channels, a proxy domain for dIPC calls).
-  obs::Registry::Default()
-      .GetCounter("domain/" + std::to_string(ctx.current_domain) + "/caps_minted")
-      ->Add();
+  if (ctx.current_domain >= m_caps_minted_.size()) {
+    m_caps_minted_.resize(static_cast<size_t>(ctx.current_domain) + 1);
+  }
+  obs::Counter*& minted = m_caps_minted_[ctx.current_domain];
+  if (minted == nullptr) {
+    minted = obs::Registry::Default().Get(obs::kDomainCapsMinted, ctx.current_domain);
+  }
+  minted->Add();
   return cap;
 }
 

@@ -134,11 +134,12 @@ class Codoms {
   std::vector<std::unique_ptr<AplCache>> apl_caches_;
   uint64_t mints_ = 0;
   // Global capability-churn counters, registered in the ctor ("codoms/...");
-  // mints additionally count into "domain/<tag>/caps_minted" for attribution
-  // (per-mint registry lookup — mints are cold by design, so that's fine).
+  // mints additionally count into "domain/<tag>/caps_minted" for
+  // attribution, resolved on each domain's first mint (indexed by tag).
   obs::Counter* m_mints_ = nullptr;
   obs::Counter* m_rebinds_ = nullptr;
   obs::Counter* m_revokes_ = nullptr;
+  std::vector<obs::Counter*> m_caps_minted_;
   // Physical address (32 B aligned) -> stored capability.
   std::unordered_map<hw::PhysAddr, Capability> stored_caps_;
 };

@@ -10,8 +10,8 @@ namespace dipc::core {
 
 Dipc::Dipc(os::Kernel& kernel) : kernel_(kernel), vas_(kernel.machine()) {
   obs::Registry& reg = obs::Registry::Default();
-  m_kill_sweeps_ = reg.GetCounter("dipc/kill_sweeps");
-  m_death_hook_runs_ = reg.GetCounter("dipc/death_hook_runs");
+  m_kill_sweeps_ = reg.Get(obs::kDipcKillSweeps);
+  m_death_hook_runs_ = reg.Get(obs::kDipcDeathHookRuns);
 }
 
 Dipc::~Dipc() = default;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
-#include <string>
 
 #include "dipc/dipc.h"
 #include "fault/fault.h"
@@ -57,11 +56,10 @@ Proxy::Proxy(Dipc& dipc, hw::VirtAddr code_va, hw::DomainTag proxy_domain, Entry
       cross_process_(callee_process != caller_process) {
   policy_costs_ = ComputePolicyCosts(dipc.kernel().costs(), policy_, target_.signature);
   obs_id_ = obs::NewObjectId();
-  const std::string prefix = "proxy/" + std::to_string(obs_id_);
   obs::Registry& reg = obs::Registry::Default();
-  m_calls_ = reg.GetCounter(prefix + "/calls");
-  m_crashes_ = reg.GetCounter(prefix + "/crashes");
-  m_call_ns_ = reg.GetHistogram(prefix + "/call_ns");
+  m_calls_ = reg.Get(obs::kProxyCalls, obs_id_);
+  m_crashes_ = reg.Get(obs::kProxyCrashes, obs_id_);
+  m_call_ns_ = reg.Get(obs::kProxyCallNs, obs_id_);
 }
 
 sim::Task<uint64_t> Proxy::Invoke(os::Env env, CallArgs args) {

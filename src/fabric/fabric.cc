@@ -1,7 +1,5 @@
 #include "fabric/fabric.h"
 
-#include <string>
-
 #include "base/check.h"
 #include "chan/desc.h"
 #include "fault/fault.h"
@@ -43,15 +41,14 @@ ServiceFabric::ServiceFabric(core::Dipc& dipc, std::span<os::Process* const> cli
 
 void ServiceFabric::RegisterMetrics() {
   obs_id_ = obs::NewObjectId();
-  const std::string p = "fabric/" + std::to_string(obs_id_) + "/";
   obs::Registry& reg = obs::Registry::Default();
-  m_calls_ = reg.GetCounter(p + "calls");
-  m_completions_ = reg.GetCounter(p + "completions");
-  m_retries_ = reg.GetCounter(p + "retries");
-  m_failures_ = reg.GetCounter(p + "failures");
-  m_duplicates_ = reg.GetCounter(p + "duplicate_completions");
-  m_rebinds_ = reg.GetCounter(p + "worker_rebinds");
-  m_call_ns_ = reg.GetHistogram(p + "call_ns");
+  m_calls_ = reg.Get(obs::kFabricCalls, obs_id_);
+  m_completions_ = reg.Get(obs::kFabricCompletions, obs_id_);
+  m_retries_ = reg.Get(obs::kFabricRetries, obs_id_);
+  m_failures_ = reg.Get(obs::kFabricFailures, obs_id_);
+  m_duplicates_ = reg.Get(obs::kFabricDuplicateCompletions, obs_id_);
+  m_rebinds_ = reg.Get(obs::kFabricWorkerRebinds, obs_id_);
+  m_call_ns_ = reg.Get(obs::kFabricCallNs, obs_id_);
 }
 
 base::Result<std::shared_ptr<ServiceFabric>> ServiceFabric::Create(

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdlib>
 
+#include "base/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
@@ -242,8 +243,17 @@ Decision Injector::Fire(size_t rule_index, std::string_view point, uint32_t cpu)
       rule.action == Action::kDelay ? static_cast<uint64_t>(rule.delay.picos()) : 0;
   log_.push_back(rec);
 
-  obs::Registry::Default().GetCounter("fault/injected")->Add();
-  obs::Registry::Default().GetCounter("fault/point/" + std::string(point))->Add();
+  obs::Registry& reg = obs::Registry::Default();
+  if (m_injected_ == nullptr) {
+    m_injected_ = reg.Get(obs::kFaultInjected);
+  }
+  m_injected_->Add();
+  const size_t index = PointIndex(point);
+  DIPC_CHECK(index < kNumPoints);  // probes come from DIPC_FAULT_POINT
+  if (m_points_[index] == nullptr) {
+    m_points_[index] = reg.Get(obs::kFaultPoint, static_cast<uint32_t>(index));
+  }
+  m_points_[index]->Add();
   obs::Trace().Record(cpu, obs::EventType::kFaultInjected,
                       static_cast<uint32_t>(rec.point_hash), rec.action, now);
 

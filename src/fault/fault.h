@@ -24,8 +24,10 @@
 #ifndef DIPC_FAULT_FAULT_H_
 #define DIPC_FAULT_FAULT_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,6 +39,10 @@
 namespace dipc::sim {
 class EventQueue;
 }  // namespace dipc::sim
+
+namespace dipc::obs {
+class Counter;
+}  // namespace dipc::obs
 
 namespace dipc::fault {
 
@@ -56,17 +62,21 @@ inline constexpr std::string_view kAllPoints[] = {
 #undef DIPC_FAULT_PROBE
 };
 
+inline constexpr size_t kNumPoints = std::size(kAllPoints);
+
+// The row of `point` in probes.def, or kNumPoints when it is not there.
+constexpr size_t PointIndex(std::string_view point) {
+  size_t i = 0;
+  while (i < kNumPoints && kAllPoints[i] != point) {
+    ++i;
+  }
+  return i;
+}
+
 // True iff `point` is a manifest probe point. Plan::Parse rejects rules
 // targeting unknown points: a typo'd point would arm a rule that no probe
 // site ever consults, i.e. a fault plan that silently tests nothing.
-constexpr bool IsKnownPoint(std::string_view point) {
-  for (std::string_view p : kAllPoints) {
-    if (p == point) {
-      return true;
-    }
-  }
-  return false;
-}
+constexpr bool IsKnownPoint(std::string_view point) { return PointIndex(point) < kNumPoints; }
 
 enum class Action : uint32_t {
   kNone = 0,
@@ -172,6 +182,10 @@ class Injector {
   std::vector<std::pair<std::string, uint64_t>> point_probes_;
   uint64_t probe_count_ = 0;
   std::vector<FiredRecord> log_;
+  // "fault/injected" and "fault/point/<point>" (by PointIndex), resolved on
+  // first fire.
+  obs::Counter* m_injected_ = nullptr;
+  std::array<obs::Counter*, kNumPoints> m_points_{};
 };
 
 // Shorthand for the global injector.

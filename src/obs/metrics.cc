@@ -1,13 +1,15 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <map>
-#include <memory>
+#include <iterator>
 #include <sstream>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "base/check.h"
 #include "base/thread_annotations.h"
-#include "obs/metric_schema.h"
 
 namespace dipc::obs {
 
@@ -51,33 +53,81 @@ double Histogram::Percentile(double p) const {
 
 namespace {
 
-enum class Kind { kCounter, kGauge, kHistogram };
-
-struct Entry {
-  Kind kind;
-  std::unique_ptr<Counter> counter;
-  std::unique_ptr<Gauge> gauge;
-  std::unique_ptr<Histogram> histogram;
+// Patterns by row (a queue row holds its leaf) and by queue scope.
+constexpr std::string_view kMetricPatterns[] = {
+#define DIPC_METRIC(ident, kind, pattern) pattern,
+#define DIPC_QUEUE_METRIC(ident, kind, leaf) leaf,
+#include "obs/metric_schema.def"
+};
+constexpr std::string_view kQueueScopePatterns[] = {
+#define DIPC_QUEUE_SCOPE(ident, pattern) pattern,
+#include "obs/metric_schema.def"
+};
+constexpr std::string_view kProbePaths[] = {
+#define DIPC_FAULT_PROBE(ident, name) name,
+#include "fault/probes.def"
+#undef DIPC_FAULT_PROBE
 };
 
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
+// Appends `pattern` with each '*' replaced by the next id in decimal and a
+// "**" by the probe path the next id indexes.
+void AppendPattern(std::string& out, std::string_view pattern, const uint32_t*& id) {
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    if (pattern[i] != '*') {
+      out += pattern[i];
+    } else if (i + 1 < pattern.size() && pattern[i + 1] == '*') {
+      DIPC_CHECK(*id < std::size(kProbePaths));
+      out += kProbePaths[*id++];
+      ++i;
+    } else {
+      out += std::to_string(*id++);
     }
   }
+}
+
+std::string MetricName(const MetricKey& key) {
+  std::string name;
+  const uint32_t* id = key.ids;
+  if (key.scope != kNoScope) {
+    AppendPattern(name, kQueueScopePatterns[key.scope], id);
+    name += '/';
+  }
+  AppendPattern(name, kMetricPatterns[key.row], id);
+  return name;
+}
+
+struct KeyHash {
+  size_t operator()(const MetricKey& k) const noexcept {
+    uint64_t h = (uint64_t{k.row} << 16 | k.scope) * 0x9e3779b97f4a7c15ull;
+    h ^= (uint64_t{k.ids[0]} << 32 | k.ids[1]) + (h >> 29);
+    return static_cast<size_t>(h * 0xbf58476d1ce4e5b9ull);
+  }
+};
+
+// Node-based, so handle pointers survive rehashing.
+template <class H>
+using Table = std::unordered_map<MetricKey, H, KeyHash>;
+
+// `"title": {"name": <emit(handle)>, ...}` over one table, sorted by name.
+template <class H, class Emit>
+void AppendSection(std::string& out, const char* title, const Table<H>& table, Emit emit) {
+  std::vector<std::pair<std::string, const H*>> named;
+  named.reserve(table.size());
+  for (const auto& [key, handle] : table) {
+    named.emplace_back(MetricName(key), &handle);
+  }
+  std::sort(named.begin(), named.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   out += '"';
+  out += title;
+  out += "\": {";
+  for (size_t i = 0; i < named.size(); ++i) {
+    out += i == 0 ? "\"" : ", \"";
+    out += named[i].first;
+    out += "\": ";
+    emit(*named[i].second);
+  }
+  out += '}';
 }
 
 std::string FormatDouble(double v) {
@@ -94,41 +144,7 @@ std::string FormatDouble(double v) {
 
 struct Registry::Impl {
   mutable base::Mutex mu;
-  // std::map keeps names sorted so SnapshotJson() is deterministic; Entry
-  // values hold unique_ptrs, so handle pointers survive rehash/rebalance.
-  std::map<std::string, Entry, std::less<>> entries DIPC_GUARDED_BY(mu);
-  uint64_t kind_collisions DIPC_GUARDED_BY(mu) = 0;
-  // First registrations whose name no manifest pattern covers ("<kind>
-  // <name>"); drained by Registry::TakeSchemaViolations.
-  std::vector<std::string> schema_violations DIPC_GUARDED_BY(mu);
-
-  Entry& GetOrCreate(std::string_view name, Kind kind) DIPC_REQUIRES(mu) {
-    auto it = entries.find(name);
-    if (it == entries.end()) {
-      static constexpr MetricKind kSchemaKind[] = {
-          MetricKind::kCounter, MetricKind::kGauge, MetricKind::kHistogram};
-      MetricKind schema_kind = kSchemaKind[static_cast<int>(kind)];
-      if (!NameMatchesSchema(name, schema_kind)) {
-        schema_violations.push_back(std::string(MetricKindName(schema_kind)) + " " +
-                                    std::string(name));
-      }
-      Entry e;
-      e.kind = kind;
-      switch (kind) {
-        case Kind::kCounter:
-          e.counter = std::make_unique<Counter>();
-          break;
-        case Kind::kGauge:
-          e.gauge = std::make_unique<Gauge>();
-          break;
-        case Kind::kHistogram:
-          e.histogram = std::make_unique<Histogram>();
-          break;
-      }
-      it = entries.emplace(std::string(name), std::move(e)).first;
-    }
-    return it->second;
-  }
+  std::tuple<Table<Counter>, Table<Gauge>, Table<Histogram>> tables DIPC_GUARDED_BY(mu);
 };
 
 Registry::Impl& Registry::impl() const {
@@ -141,74 +157,24 @@ Registry& Registry::Default() {
   return *r;
 }
 
-Counter* Registry::GetCounter(std::string_view name) {
+template <class H>
+H* Registry::Find(const MetricKey& key) {
   Impl& im = impl();
   base::MutexLock lock(&im.mu);
-  Entry& e = im.GetOrCreate(name, Kind::kCounter);
-  if (e.kind != Kind::kCounter) {
-    // Name already taken by a different kind: hand back a detached dummy so
-    // the caller still gets a valid handle, and record the misuse.
-    ++im.kind_collisions;
-    static Counter* dummy = new Counter();
-    return dummy;
-  }
-  return e.counter.get();
-}
-
-Gauge* Registry::GetGauge(std::string_view name) {
-  Impl& im = impl();
-  base::MutexLock lock(&im.mu);
-  Entry& e = im.GetOrCreate(name, Kind::kGauge);
-  if (e.kind != Kind::kGauge) {
-    ++im.kind_collisions;
-    static Gauge* dummy = new Gauge();
-    return dummy;
-  }
-  return e.gauge.get();
-}
-
-Histogram* Registry::GetHistogram(std::string_view name) {
-  Impl& im = impl();
-  base::MutexLock lock(&im.mu);
-  Entry& e = im.GetOrCreate(name, Kind::kHistogram);
-  if (e.kind != Kind::kHistogram) {
-    ++im.kind_collisions;
-    static Histogram* dummy = new Histogram();
-    return dummy;
-  }
-  return e.histogram.get();
+  return &std::get<Table<H>>(im.tables).try_emplace(key).first->second;
 }
 
 std::string Registry::SnapshotJson() const {
   Impl& im = impl();
   base::MutexLock lock(&im.mu);
+  const auto& [counters, gauges, histograms] = im.tables;
   std::string out = "{";
-  auto section = [&](const char* title, Kind kind, auto&& emit) {
-    AppendJsonString(out, title);
-    out += ": {";
-    bool first = true;
-    for (const auto& [name, e] : im.entries) {
-      if (e.kind != kind) {
-        continue;
-      }
-      if (!first) {
-        out += ", ";
-      }
-      first = false;
-      AppendJsonString(out, name);
-      out += ": ";
-      emit(e);
-    }
-    out += "}";
-  };
-  section("counters", Kind::kCounter,
-          [&](const Entry& e) { out += std::to_string(e.counter->value()); });
+  AppendSection(out, "counters", counters,
+                [&](const Counter& c) { out += std::to_string(c.value()); });
   out += ", ";
-  section("gauges", Kind::kGauge,
-          [&](const Entry& e) { out += std::to_string(e.gauge->value()); });
+  AppendSection(out, "gauges", gauges, [&](const Gauge& g) { out += std::to_string(g.value()); });
   out += ", ";
-  section("histograms", Kind::kHistogram, [&](const Entry& e) {
-    const Histogram& h = *e.histogram;
+  AppendSection(out, "histograms", histograms, [&](const Histogram& h) {
     out += "{\"count\": " + std::to_string(h.count());
     out += ", \"sum_ns\": " + std::to_string(h.sum_ns());
     out += ", \"min_ns\": " + std::to_string(h.min_ns());
@@ -218,9 +184,6 @@ std::string Registry::SnapshotJson() const {
     out += ", \"p99\": " + FormatDouble(h.Percentile(99));
     out += "}";
   });
-  if (im.kind_collisions > 0) {
-    out += ", \"kind_collisions\": " + std::to_string(im.kind_collisions);
-  }
   out += "}";
   return out;
 }
@@ -228,33 +191,22 @@ std::string Registry::SnapshotJson() const {
 void Registry::Reset() {
   Impl& im = impl();
   base::MutexLock lock(&im.mu);
-  for (auto& [name, e] : im.entries) {
-    switch (e.kind) {
-      case Kind::kCounter:
-        e.counter->Reset();
-        break;
-      case Kind::kGauge:
-        e.gauge->Reset();
-        break;
-      case Kind::kHistogram:
-        e.histogram->Reset();
-        break;
+  auto reset = [](auto& table) {
+    for (auto& [key, handle] : table) {
+      handle.Reset();
     }
-  }
+  };
+  auto& [counters, gauges, histograms] = im.tables;
+  reset(counters);
+  reset(gauges);
+  reset(histograms);
 }
 
 size_t Registry::size() const {
   Impl& im = impl();
   base::MutexLock lock(&im.mu);
-  return im.entries.size();
-}
-
-std::vector<std::string> Registry::TakeSchemaViolations() {
-  Impl& im = impl();
-  base::MutexLock lock(&im.mu);
-  std::vector<std::string> out;
-  out.swap(im.schema_violations);
-  return out;
+  const auto& [counters, gauges, histograms] = im.tables;
+  return counters.size() + gauges.size() + histograms.size();
 }
 
 #else  // DIPC_OBS_OFF
@@ -264,32 +216,20 @@ Registry& Registry::Default() {
   return *r;
 }
 
-struct Registry::Impl {};
-Registry::Impl& Registry::impl() const {
-  static Impl* impl = new Impl();
-  return *impl;
-}
-
-Counter* Registry::GetCounter(std::string_view) {
-  static Counter* dummy = new Counter();
-  return dummy;
-}
-
-Gauge* Registry::GetGauge(std::string_view) {
-  static Gauge* dummy = new Gauge();
-  return dummy;
-}
-
-Histogram* Registry::GetHistogram(std::string_view) {
-  static Histogram* dummy = new Histogram();
+template <class H>
+H* Registry::Find(const MetricKey&) {
+  static H* dummy = new H();
   return dummy;
 }
 
 std::string Registry::SnapshotJson() const { return "{}"; }
 void Registry::Reset() {}
 size_t Registry::size() const { return 0; }
-std::vector<std::string> Registry::TakeSchemaViolations() { return {}; }
 
 #endif  // DIPC_OBS_OFF
+
+template Counter* Registry::Find(const MetricKey&);
+template Gauge* Registry::Find(const MetricKey&);
+template Histogram* Registry::Find(const MetricKey&);
 
 }  // namespace dipc::obs

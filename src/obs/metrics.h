@@ -1,6 +1,7 @@
 // Runtime metrics registry: counters, gauges and log-bucketed latency
-// histograms registered under hierarchical slash-separated names
-// ("chan/3/sends", "domain/17/caps_minted", "fanout/2/rx/1/credit_stall_ns").
+// histograms, one per row of the manifest src/obs/metric_schema.def and its
+// ids. Snapshots name them hierarchically ("chan/3/sends",
+// "domain/17/caps_minted", "fanout/2/rx/1/credit_stall_ns").
 //
 // The paper's whole argument rests on *attributed* measurement (Fig. 2's
 // per-category cycle breakdowns); this registry extends that attribution to
@@ -12,12 +13,13 @@
 // one charge path writes.
 //
 // Hot-path contract:
-//   - Registration (name lookup) takes a mutex and builds strings: do it
-//     once, at object creation or on an object's first use, and keep the
-//     returned handle pointer. Never look a name up per operation.
+//   - Registration (Registry::Get) takes a mutex and a hash lookup, and
+//     builds no string: do it once, at object creation or on an object's
+//     first use, and keep the returned handle pointer. Never look a handle
+//     up per operation.
 //   - The handles themselves are single relaxed atomic ops (Counter::Add is
 //     one fetch_add), cheap enough to leave on the steady-state send path.
-//     Handle pointers are stable for the life of the process (deque-backed
+//     Handle pointers are stable for the life of the process (node-based
 //     storage; the registry never removes entries).
 //   - Recording charges no simulated time: a relaxed increment is modeled
 //     as disappearing into the superscalar margin. Trace events are the
@@ -35,8 +37,8 @@
 #include <bit>
 #include <cstdint>
 #include <string>
-#include <string_view>
-#include <vector>
+
+#include "obs/metric_schema.h"
 
 namespace dipc::obs {
 
@@ -163,26 +165,43 @@ class Histogram {
 
 #endif  // DIPC_OBS_OFF
 
-// Name -> handle registry. Handles are created on first Get* and live for
-// the process; the same name always returns the same pointer (a name names
-// one metric, whoever asks). A name must stick to one kind — asking for a
-// counter named like an existing histogram returns a fresh dummy handle and
-// flags the collision in the snapshot rather than aborting the run.
+// (row, ids) -> handle registry. Handles are created at zero on first Get
+// and live for the process; the same row and ids always return the same
+// pointer (a metric is one metric, whoever asks). The row's type fixes the
+// handle kind and the number of ids, so there is no name to misspell and no
+// kind to collide.
 class Registry {
  public:
   // The process-wide default registry every subsystem registers into.
   static Registry& Default();
 
-  Counter* GetCounter(std::string_view name);
-  Gauge* GetGauge(std::string_view name);
-  Histogram* GetHistogram(std::string_view name);
+  // One id per '*' in the row's pattern (obs::kCodomsMints takes none,
+  // obs::kChanSends one, obs::kFanOutRxCredits two).
+  template <class H>
+  H* Get(Metric<H, 0> m) {
+    return Find<H>({m.row, kNoScope, {0, 0}});
+  }
+  template <class H>
+  H* Get(Metric<H, 1> m, uint32_t a) {
+    return Find<H>({m.row, kNoScope, {a, 0}});
+  }
+  template <class H>
+  H* Get(Metric<H, 2> m, uint32_t a, uint32_t b) {
+    return Find<H>({m.row, kNoScope, {a, b}});
+  }
+  // A queue metric under its owner's scope ("<scope>/<leaf>").
+  template <class H>
+  H* Get(QueueMetric<H> m, QueueScope s) {
+    return Find<H>({m.row, s.scope, {s.ids[0], s.ids[1]}});
+  }
 
   // One JSON object over every registered metric:
   //   {"counters": {name: value, ...},
   //    "gauges": {name: value, ...},
   //    "histograms": {name: {"count": c, "sum_ns": s, "min_ns": m,
   //                          "max_ns": M, "p50": .., "p95": .., "p99": ..}}}
-  // Names are emitted sorted, so snapshots diff cleanly.
+  // The only place names are built; they are emitted sorted, so snapshots
+  // diff cleanly.
   std::string SnapshotJson() const;
 
   // Zeroes every metric without invalidating handles (bench measurement
@@ -191,15 +210,10 @@ class Registry {
 
   size_t size() const;
 
-  // Every first registration is validated against the manifest schema
-  // (src/obs/metric_schema.def); names no pattern covers accumulate here as
-  // "<kind> <name>" strings. Draining returns what accrued since the last
-  // drain — tests drain before exercising a subsystem, then assert the
-  // second drain is empty (name drift is a test failure, not silent
-  // dashboard rot). Always empty under DIPC_OBS_OFF.
-  std::vector<std::string> TakeSchemaViolations();
-
  private:
+  template <class H>
+  H* Find(const MetricKey& key);
+
   struct Impl;
   Impl& impl() const;
 };

@@ -231,7 +231,8 @@ bool TraceRing::ExportChromeTrace(const std::string& path) const {
     return false;
   }
   f << ChromeTraceJson();
-  return static_cast<bool>(f);
+  f.close();
+  return !f.fail();
 }
 
 }  // namespace dipc::obs

@@ -154,7 +154,8 @@ class TraceRing {
   // chrome://tracing or https://ui.perfetto.dev.
   std::string ChromeTraceJson() const;
 
-  // Writes ChromeTraceJson() to `path`; returns false on I/O failure.
+  // Writes ChromeTraceJson() to `path`; returns false when the open, the
+  // write or the close fails.
   bool ExportChromeTrace(const std::string& path) const;
 
  private:

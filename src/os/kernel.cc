@@ -12,7 +12,9 @@ namespace {
 // Per-domain time kinds, the <kind> of "domain/<tag>/time_ps/<kind>":
 // what a profiler would bill a tenant for.
 enum DomainKind : uint8_t { kDomUser, kDomKernel, kDomCopy, kDomFutexWait, kDomProxy, kNoDomain };
-constexpr const char* kDomainKindNames[] = {"user", "kernel", "copy", "futex_wait", "proxy"};
+constexpr obs::Metric<obs::Counter, 1> kDomainTimeRows[] = {
+    obs::kDomainTimeUser, obs::kDomainTimeKernel, obs::kDomainTimeCopy,
+    obs::kDomainTimeFutexWait, obs::kDomainTimeProxy};
 constexpr size_t kNumDomainKinds = kNoDomain;
 
 // Where each Kernel::Bill lands: its Fig. 2 bucket (kCount: none) and its
@@ -49,10 +51,10 @@ Kernel::Kernel(hw::Machine& machine, codoms::Codoms& codoms)
   // instance), so sequential sims in one binary share handles — the
   // registry resets between bench series anyway.
   obs::Registry& reg = obs::Registry::Default();
-  m_migrations_ = reg.GetCounter("os/sched/migrations");
+  m_migrations_ = reg.Get(obs::kSchedMigrations);
   m_runq_depth_.resize(cpus_.size());
   for (hw::CpuId c = 0; c < cpus_.size(); ++c) {
-    m_runq_depth_[c] = reg.GetGauge("os/sched/cpu" + std::to_string(c) + "/runq_depth");
+    m_runq_depth_[c] = reg.Get(obs::kSchedRunqDepth, c);
   }
 }
 
@@ -127,8 +129,7 @@ void Kernel::Charge(hw::CpuId cpu, hw::DomainTag domain, Bill bill, sim::Duratio
   }
   obs::Counter*& counter = m_domain_time_[index];
   if (counter == nullptr) {
-    counter = obs::Registry::Default().GetCounter(
-        "domain/" + std::to_string(domain) + "/time_ps/" + kDomainKindNames[row.kind]);
+    counter = obs::Registry::Default().Get(kDomainTimeRows[row.kind], domain);
   }
   counter->Add(static_cast<uint64_t>(d.picos()));
 }

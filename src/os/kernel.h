@@ -88,7 +88,7 @@ class Kernel {
   // first park.
   obs::Gauge* futex_waiters() {
     if (m_futex_waiters_ == nullptr) {
-      m_futex_waiters_ = obs::Registry::Default().GetGauge("os/sched/futex_waiters");
+      m_futex_waiters_ = obs::Registry::Default().Get(obs::kSchedFutexWaiters);
     }
     return m_futex_waiters_;
   }

@@ -95,9 +95,8 @@ class Semaphore : public KernelObject {
   static Futex::Telemetry SharedTelemetry() {
     static const Futex::Telemetry shared = [] {
       obs::Registry& reg = obs::Registry::Default();
-      return Futex::Telemetry{0, reg.GetCounter("os/sem/futex_waits"),
-                              reg.GetCounter("os/sem/futex_wakes"),
-                              reg.GetHistogram("os/sem/park_ns")};
+      return Futex::Telemetry{0, reg.Get(obs::kSemFutexWaits), reg.Get(obs::kSemFutexWakes),
+                              reg.Get(obs::kSemParkNs)};
     }();
     Futex::Telemetry t = shared;
     t.obj = obs::NewObjectId();

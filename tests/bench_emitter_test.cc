@@ -6,7 +6,10 @@
 // binary's accumulated counters to every series.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +17,7 @@
 
 #include "micro_harness.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace dipc::bench {
 namespace {
@@ -32,6 +36,13 @@ struct Argv {
   int argc;
 };
 
+// A fresh fabric's "fabric/<id>/calls" counter and its snapshot key.
+struct Calls {
+  uint32_t id = obs::NewObjectId();
+  obs::Counter* counter = obs::Registry::Default().Get(obs::kFabricCalls, id);
+  std::string key = "\"fabric/" + std::to_string(id) + "/calls\": ";
+};
+
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path);
   std::stringstream ss;
@@ -46,16 +57,17 @@ TEST(BenchEmitter, BeginSeriesIsolatesMetricsPerSeries) {
   obs::Registry::Default().Reset();
   const std::string path = "BENCH_emitter_iso_test.json";
   std::remove(path.c_str());
+  const Calls x;
   {
     Argv av({"bench", "--json", "--metrics"});
     JsonEmitter json("emitter_iso_test", av.argc, av.ptrs.data());
     ASSERT_TRUE(json.enabled());
     ASSERT_TRUE(json.metrics());
     json.BeginSeries("window_a");
-    obs::Registry::Default().GetCounter("emitter_test/x")->Add(3);
+    x.counter->Add(3);
     json.Row("a", 1, 10.0);
     json.BeginSeries("window_b");
-    obs::Registry::Default().GetCounter("emitter_test/x")->Add(5);
+    x.counter->Add(5);
     json.Row("b", 1, 20.0);
   }  // destructor closes window_b and writes the file
   const std::string body = ReadFile(path);
@@ -69,9 +81,9 @@ TEST(BenchEmitter, BeginSeriesIsolatesMetricsPerSeries) {
   ASSERT_LT(a, b);
   const std::string win_a = body.substr(a, b - a);
   const std::string win_b = body.substr(b);
-  EXPECT_NE(win_a.find("\"emitter_test/x\": 3"), std::string::npos) << win_a;
-  EXPECT_NE(win_b.find("\"emitter_test/x\": 5"), std::string::npos) << win_b;
-  EXPECT_EQ(body.find("\"emitter_test/x\": 8"), std::string::npos);
+  EXPECT_NE(win_a.find(x.key + "3"), std::string::npos) << win_a;
+  EXPECT_NE(win_b.find(x.key + "5"), std::string::npos) << win_b;
+  EXPECT_EQ(body.find(x.key + "8"), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -131,18 +143,19 @@ TEST(BenchEmitter, NoBeginSeriesKeepsWholeRunSnapshot) {
   obs::Registry::Default().Reset();
   const std::string path = "BENCH_emitter_whole_test.json";
   std::remove(path.c_str());
+  const Calls y;
   {
     Argv av({"bench", "--json", "--metrics"});
     JsonEmitter json("emitter_whole_test", av.argc, av.ptrs.data());
-    obs::Registry::Default().GetCounter("emitter_test/y")->Add(4);
+    y.counter->Add(4);
     json.Row("a", 1, 10.0);
-    obs::Registry::Default().GetCounter("emitter_test/y")->Add(4);
+    y.counter->Add(4);
     json.Row("a", 2, 20.0);
   }
   const std::string body = ReadFile(path);
   ASSERT_FALSE(body.empty());
   // Legacy shape: one cumulative snapshot for the whole binary.
-  EXPECT_NE(body.find("\"emitter_test/y\": 8"), std::string::npos) << body;
+  EXPECT_NE(body.find(y.key + "8"), std::string::npos) << body;
   std::remove(path.c_str());
 }
 
@@ -153,17 +166,18 @@ TEST(BenchEmitter, MetricsFlagOffMakesBeginSeriesFree) {
   obs::Registry::Default().Reset();
   const std::string path = "BENCH_emitter_off_test.json";
   std::remove(path.c_str());
+  const Calls z;
   {
     Argv av({"bench", "--json"});
     JsonEmitter json("emitter_off_test", av.argc, av.ptrs.data());
     json.BeginSeries("window_a");
-    obs::Registry::Default().GetCounter("emitter_test/z")->Add(7);
+    z.counter->Add(7);
     json.Row("a", 1, 10.0);
     // Without --metrics, BeginSeries must not reset the registry (another
     // concurrent consumer may be reading it) and no metrics key is emitted.
-    EXPECT_EQ(obs::Registry::Default().GetCounter("emitter_test/z")->value(), 7u);
+    EXPECT_EQ(z.counter->value(), 7u);
     json.BeginSeries("window_b");
-    EXPECT_EQ(obs::Registry::Default().GetCounter("emitter_test/z")->value(), 7u);
+    EXPECT_EQ(z.counter->value(), 7u);
   }
   const std::string body = ReadFile(path);
   ASSERT_FALSE(body.empty());
@@ -181,6 +195,33 @@ TEST(BenchEmitter, UnknownFlagPrintsUsageAndExits) {
         JsonEmitter json("emitter_usage_test", av.argc, av.ptrs.data());
       },
       testing::ExitedWithCode(2), "unknown argument '--jsn'.*\n.*usage: .*--json");
+}
+
+// Output that cannot be written fails the bench: a trace into a missing
+// directory, and a BENCH json whose path is taken by a directory.
+TEST(BenchEmitter, UnwritableOutputExitsNonZero) {
+  EXPECT_EXIT(
+      {
+        {
+          Argv av({"bench", "--trace=/nonexistent/dir/x.json"});
+          JsonEmitter json("emitter_trace_fail_test", av.argc, av.ptrs.data());
+        }
+        std::exit(0);
+      },
+      testing::ExitedWithCode(1), "cannot write /nonexistent/dir/x.json");
+  const std::string path = "BENCH_emitter_json_fail_test.json";
+  rmdir(path.c_str());
+  ASSERT_EQ(mkdir(path.c_str(), 0755), 0);
+  EXPECT_EXIT(
+      {
+        {
+          Argv av({"bench", "--json"});
+          JsonEmitter json("emitter_json_fail_test", av.argc, av.ptrs.data());
+        }
+        std::exit(0);
+      },
+      testing::ExitedWithCode(1), "cannot write " + path);
+  rmdir(path.c_str());
 }
 
 }  // namespace

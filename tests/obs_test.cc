@@ -1,8 +1,9 @@
-// Unit tests for the observability layer (src/obs/): registry handle
-// identity and kind collisions, concurrent counter increments from real
-// threads (the TSan gate hammers this), histogram percentiles, snapshot
-// JSON well-formedness, trace-ring wraparound semantics, Chrome trace
-// export, and the end-to-end wiring from a live channel into the registry.
+// Unit tests for the observability layer (src/obs/): the typed registry
+// API (compile-time checks below), snapshot names for every pattern shape,
+// handle identity, concurrent counter increments from real threads (the
+// TSan gate hammers this), histogram percentiles, snapshot JSON
+// well-formedness, trace-ring wraparound semantics, Chrome trace export,
+// and the end-to-end wiring from a live channel into the registry.
 //
 // Every test also compiles (and most still assert something) under
 // -DDIPC_OBS_OFF, guarded where the assertions require live metrics.
@@ -14,7 +15,10 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "base/check.h"
@@ -22,8 +26,8 @@
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "fabric/fabric.h"
+#include "fault/fault.h"
 #include "hw/machine.h"
-#include "obs/metric_schema.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "os/accounting.h"
@@ -99,79 +103,75 @@ TEST(ObsJsonValidator, CatchesMalformedJson) {
   EXPECT_FALSE(JsonIsWellFormed("{\"a"));
 }
 
-TEST(ObsSchema, MetricPatternMatchesComponentRules) {
-  // Exact names.
-  EXPECT_TRUE(MetricPatternMatches("fault/injected", "fault/injected"));
-  EXPECT_FALSE(MetricPatternMatches("fault/injected", "fault/injected/extra"));
-  EXPECT_FALSE(MetricPatternMatches("fault/injected", "fault"));
-  // '*' matches exactly one component.
-  EXPECT_TRUE(MetricPatternMatches("chan/*/sends", "chan/42/sends"));
-  EXPECT_FALSE(MetricPatternMatches("chan/*/sends", "chan/42/43/sends"));
-  EXPECT_FALSE(MetricPatternMatches("chan/*/sends", "chan/sends"));
-  // A trailing-'*' component matches by prefix.
-  EXPECT_TRUE(MetricPatternMatches("os/sched/cpu*/runq_depth", "os/sched/cpu3/runq_depth"));
-  EXPECT_TRUE(MetricPatternMatches("os/sched/cpu*/runq_depth", "os/sched/cpu/runq_depth"));
-  EXPECT_FALSE(MetricPatternMatches("os/sched/cpu*/runq_depth", "os/sched/gpu3/runq_depth"));
-  // A final '**' eats one or more remaining components.
-  EXPECT_TRUE(MetricPatternMatches("fault/point/**", "fault/point/chan/send"));
-  EXPECT_TRUE(MetricPatternMatches("fault/point/**", "fault/point/x"));
-  EXPECT_FALSE(MetricPatternMatches("fault/point/**", "fault/point"));
-  // Kind-aware schema lookup: the same name is only valid for its kind.
-  EXPECT_TRUE(NameMatchesSchema("chan/7/desc/park_ns", MetricKind::kHistogram));
-  EXPECT_FALSE(NameMatchesSchema("chan/7/desc/park_ns", MetricKind::kCounter));
-  EXPECT_FALSE(NameMatchesSchema("definitely/not/in/schema", MetricKind::kCounter));
-}
+// The registry takes manifest rows only: no entry point accepts a name, a
+// row returns its own kind's handle, and only with the ids its pattern has.
+template <class Row, class... Ids>
+concept Gets = requires(Registry& r, Row row, Ids... ids) { r.Get(row, ids...); };
+static_assert(!Gets<std::string_view>);
+static_assert(!Gets<const char*>);
+static_assert(!Gets<std::string>);
+static_assert(Gets<decltype(kChanSends), uint32_t>);
+static_assert(!Gets<decltype(kChanSends)>);                 // missing id
+static_assert(!Gets<decltype(kCodomsMints), uint32_t>);     // extra id
+static_assert(!Gets<decltype(kFanInTxCredits), uint32_t>);  // one of two ids
+static_assert(!Gets<decltype(kQueueParkNs), uint32_t>);     // queue rows take a scope
+static_assert(!Gets<decltype(kChanSends), QueueScope>);     // and only queue rows do
 
-TEST(ObsSchema, OffSchemaRegistrationIsRecordedAndDrained) {
+template <class Row, class... Ids>
+using GetResult =
+    decltype(std::declval<Registry&>().Get(std::declval<Row>(), std::declval<Ids>()...));
+static_assert(std::is_same_v<GetResult<decltype(kCodomsMints)>, Counter*>);
+static_assert(std::is_same_v<GetResult<decltype(kChanSendBatch), uint32_t>, Histogram*>);
+static_assert(std::is_same_v<GetResult<decltype(kFanOutRxCredits), uint32_t, uint32_t>, Gauge*>);
+static_assert(std::is_same_v<GetResult<decltype(kQueueFutexWakes), QueueScope>, Counter*>);
+static_assert(std::is_same_v<GetResult<decltype(kQueueParkNs), QueueScope>, Histogram*>);
+
+// SnapshotJson() is where names are built: one case per pattern shape.
+TEST(ObsSchema, SnapshotNamesEveryPatternShape) {
 #ifdef DIPC_OBS_OFF
   GTEST_SKIP() << "observability compiled out (-DDIPC_OBS_OFF)";
 #else
   Registry& reg = Registry::Default();
-  // Other suites in this binary register test-local names; flush theirs so
-  // this test only sees its own violation.
-  (void)reg.TakeSchemaViolations();
-  (void)reg.GetCounter("fault/injected");  // schema-conformant: no violation
-  (void)reg.GetCounter("obs_schema_test/definitely/off/schema");
-  std::vector<std::string> v = reg.TakeSchemaViolations();
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_NE(v[0].find("obs_schema_test/definitely/off/schema"), std::string::npos);
-  EXPECT_NE(v[0].find("counter"), std::string::npos);  // says which kind
-  // Drain-on-read: a second take is empty, and re-Get of an
-  // already-registered name does not re-validate.
-  (void)reg.GetCounter("obs_schema_test/definitely/off/schema");
-  EXPECT_TRUE(reg.TakeSchemaViolations().empty());
+  const uint32_t id = NewObjectId();
+  const std::string i = std::to_string(id);
+  reg.Get(kCodomsMints);                                          // plain
+  reg.Get(kChanSends, id);                                        // one '*'
+  reg.Get(kFanInTxCredits, id, 4);                                // two '*'
+  reg.Get(kQueueParkNs, QueueScope(kFanOutRxDescQueue, id, 3));   // nested, queue scope
+  reg.Get(kQueueBlockedPops, QueueScope(kMpmcQueue, id));         // standalone queue
+  reg.Get(kSchedRunqDepth, 7);                                    // "cpu*" prefix
+  reg.Get(kFaultPoint, fault::PointIndex(fault::points::kChanSend));  // probe-path tail
+  const std::string snap = reg.SnapshotJson();
+  for (const std::string& name :
+       {std::string("codoms/mints"), "chan/" + i + "/sends", "fanin/" + i + "/tx/4/credits",
+        "fanout/" + i + "/rx/3/desc/park_ns", "mpmc/" + i + "/blocked_pops",
+        std::string("os/sched/cpu7/runq_depth"), std::string("fault/point/chan/send")}) {
+    EXPECT_NE(snap.find("\"" + name + "\": "), std::string::npos) << name;
+  }
 #endif
 }
 
 TEST(ObsRegistry, SameNameReturnsSameHandle) {
   Registry& reg = Registry::Default();
-  Counter* a = reg.GetCounter("obs_test/identity");
-  Counter* b = reg.GetCounter("obs_test/identity");
-  EXPECT_EQ(a, b);
-  Histogram* h1 = reg.GetHistogram("obs_test/identity_h");
-  Histogram* h2 = reg.GetHistogram("obs_test/identity_h");
-  EXPECT_EQ(h1, h2);
-}
-
-TEST(ObsRegistry, KindCollisionReturnsDetachedHandle) {
-  Registry& reg = Registry::Default();
-  Counter* c = reg.GetCounter("obs_test/collide");
-  ASSERT_NE(c, nullptr);
-  // Same name, wrong kind: must not crash, must hand back a usable dummy.
-  Gauge* g = reg.GetGauge("obs_test/collide");
-  ASSERT_NE(g, nullptr);
-  g->Set(42);
-  c->Add();
+  const uint32_t id = NewObjectId();
+  EXPECT_EQ(reg.Get(kProxyCalls, id), reg.Get(kProxyCalls, id));
+  EXPECT_EQ(reg.Get(kProxyCallNs, id), reg.Get(kProxyCallNs, id));
+  const QueueScope q(kFanOutRxDescQueue, id, 2);
+  EXPECT_EQ(reg.Get(kQueueTimeouts, q), reg.Get(kQueueTimeouts, q));
 #ifndef DIPC_OBS_OFF
-  // The detached gauge must not shadow the real counter in the snapshot.
-  std::string snap = reg.SnapshotJson();
-  EXPECT_NE(snap.find("\"obs_test/collide\""), std::string::npos);
+  // A different row, id or scope is a different metric.
+  EXPECT_NE(reg.Get(kProxyCalls, id), reg.Get(kProxyCrashes, id));
+  EXPECT_NE(reg.Get(kProxyCalls, id), reg.Get(kProxyCalls, id + 1));
+  EXPECT_NE(reg.Get(kQueueTimeouts, q),
+            reg.Get(kQueueTimeouts, QueueScope(kFanOutRxDescQueue, id, 3)));
+  EXPECT_NE(reg.Get(kQueueTimeouts, QueueScope(kChanDescQueue, id)),
+            reg.Get(kQueueTimeouts, QueueScope(kChanFreeQueue, id)));
 #endif
 }
 
 TEST(ObsRegistry, ConcurrentCounterIncrementsAreExact) {
   Registry& reg = Registry::Default();
-  Counter* c = reg.GetCounter("obs_test/concurrent");
+  Counter* c = reg.Get(kProxyCalls, NewObjectId());
   constexpr int kThreads = 8;
   constexpr int kPerThread = 100000;
   std::vector<std::thread> threads;
@@ -195,7 +195,7 @@ TEST(ObsRegistry, ConcurrentCounterIncrementsAreExact) {
 
 TEST(ObsRegistry, ConcurrentHistogramRecordsKeepCountAndBounds) {
   Registry& reg = Registry::Default();
-  Histogram* h = reg.GetHistogram("obs_test/concurrent_h");
+  Histogram* h = reg.Get(kProxyCallNs, NewObjectId());
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
   std::vector<std::thread> threads;
@@ -249,15 +249,17 @@ TEST(ObsHistogram, ZeroAndNegativeSamplesLandInBucketZero) {
 
 TEST(ObsRegistry, SnapshotJsonIsWellFormed) {
   Registry& reg = Registry::Default();
-  reg.GetCounter("obs_test/snap_c")->Add(3);
-  reg.GetGauge("obs_test/snap_g")->Set(-7);
-  reg.GetHistogram("obs_test/snap_h")->Record(12345.0);
+  const uint32_t id = NewObjectId();
+  const std::string i = std::to_string(id);
+  reg.Get(kFabricCalls, id)->Add(3);
+  reg.Get(kFanOutRxCredits, id, 0)->Set(-7);
+  reg.Get(kFabricCallNs, id)->Record(12345.0);
   std::string snap = reg.SnapshotJson();
   EXPECT_TRUE(JsonIsWellFormed(snap)) << snap.substr(0, 400);
 #ifndef DIPC_OBS_OFF
-  EXPECT_NE(snap.find("\"obs_test/snap_c\": 3"), std::string::npos);
-  EXPECT_NE(snap.find("\"obs_test/snap_g\": -7"), std::string::npos);
-  EXPECT_NE(snap.find("\"obs_test/snap_h\""), std::string::npos);
+  EXPECT_NE(snap.find("\"fabric/" + i + "/calls\": 3"), std::string::npos);
+  EXPECT_NE(snap.find("\"fanout/" + i + "/rx/0/credits\": -7"), std::string::npos);
+  EXPECT_NE(snap.find("\"fabric/" + i + "/call_ns\": {\"count\": 1"), std::string::npos);
 #else
   EXPECT_EQ(snap, "{}");
 #endif
@@ -383,21 +385,20 @@ TEST(ObsWiring, ChannelTrafficLandsInRegistryUnderItsObsId) {
   });
   kernel.Run();
   EXPECT_EQ(chan.sends(), static_cast<uint64_t>(kMessages));
-  const std::string prefix = "chan/" + std::to_string(chan.obs_id());
+  const uint32_t id = chan.obs_id();
   Registry& reg = Registry::Default();
 #ifndef DIPC_OBS_OFF
-  EXPECT_EQ(reg.GetCounter(prefix + "/sends")->value(), static_cast<uint64_t>(kMessages));
-  EXPECT_EQ(reg.GetCounter(prefix + "/recvs")->value(), static_cast<uint64_t>(kMessages));
-  EXPECT_EQ(reg.GetCounter(prefix + "/acquires")->value(), static_cast<uint64_t>(kMessages));
-  EXPECT_EQ(reg.GetCounter(prefix + "/releases")->value(), static_cast<uint64_t>(kMessages));
-  EXPECT_EQ(reg.GetHistogram(prefix + "/send_batch")->count(),
-            static_cast<uint64_t>(kMessages));
+  EXPECT_EQ(reg.Get(kChanSends, id)->value(), static_cast<uint64_t>(kMessages));
+  EXPECT_EQ(reg.Get(kChanRecvs, id)->value(), static_cast<uint64_t>(kMessages));
+  EXPECT_EQ(reg.Get(kChanAcquires, id)->value(), static_cast<uint64_t>(kMessages));
+  EXPECT_EQ(reg.Get(kChanReleases, id)->value(), static_cast<uint64_t>(kMessages));
+  EXPECT_EQ(reg.Get(kChanSendBatch, id)->count(), static_cast<uint64_t>(kMessages));
   // Capability churn mirrors the channel's own getters.
-  EXPECT_EQ(reg.GetCounter(prefix + "/cold_mints")->value(), chan.cold_mints());
+  EXPECT_EQ(reg.Get(kChanColdMints, id)->value(), chan.cold_mints());
 #else
   // Compiled out: handles exist but stay silent, and the member-variable
   // getters above still worked — the public API does not depend on obs.
-  EXPECT_EQ(reg.GetCounter(prefix + "/sends")->value(), 0u);
+  EXPECT_EQ(reg.Get(kChanSends, id)->value(), 0u);
 #endif
 }
 
@@ -599,15 +600,12 @@ TEST(ObsDomainTime, ChargesRouteToOneBucketAndKind) {
   os::Kernel kernel{machine, codoms};
   os::Process& a = kernel.CreateProcess("a");
   os::Process& b = kernel.CreateProcess("b");
-  auto time_ps = [](os::Process& p, const char* kind) {
-    return Registry::Default().GetCounter("domain/" + std::to_string(p.default_domain()) +
-                                          "/time_ps/" + kind);
-  };
-  Counter* a_user = time_ps(a, "user");
-  Counter* a_kernel = time_ps(a, "kernel");
-  Counter* a_copy = time_ps(a, "copy");
-  Counter* a_wait = time_ps(a, "futex_wait");
-  Counter* b_kernel = time_ps(b, "kernel");
+  Registry& reg = Registry::Default();
+  Counter* a_user = reg.Get(kDomainTimeUser, a.default_domain());
+  Counter* a_kernel = reg.Get(kDomainTimeKernel, a.default_domain());
+  Counter* a_copy = reg.Get(kDomainTimeCopy, a.default_domain());
+  Counter* a_wait = reg.Get(kDomainTimeFutexWait, a.default_domain());
+  Counter* b_kernel = reg.Get(kDomainTimeKernel, b.default_domain());
   auto buf = kernel.MapAnonymous(a, hw::kPageSize, hw::PageFlags{.writable = true});
   ASSERT_TRUE(buf.ok());
   const hw::PhysAddr kbuf = kernel.AllocKernelBuffer(hw::kPageSize);

@@ -3,8 +3,8 @@
 
 Enforces the repo's cross-cutting invariants that generic tools cannot
 see: capability-buffer lifetimes, futex predicate discipline, deadline
-propagation on blocking APIs, fault-probe and metric-name manifests, and
-memory-order justifications. See tools/dipclint/README-worthy docs in the
+propagation on blocking APIs, the fault-probe manifest, and memory-order
+justifications. See tools/dipclint/README-worthy docs in the
 top-level README ("Static analysis").
 
 Usage:
@@ -35,7 +35,6 @@ from rules import (
     Finding,
     RepoContext,
     RULE_FUNCS,
-    load_metric_schema,
     load_probe_manifest,
 )
 
@@ -107,17 +106,12 @@ def lint_file(path: str, rel: str, ctx: RepoContext) -> list[Finding]:
 
 def load_context(root: str) -> RepoContext:
     probes = os.path.join(root, "src", "fault", "probes.def")
-    schema = os.path.join(root, "src", "obs", "metric_schema.def")
     idents: set[str] = set()
     names: set[str] = set()
-    entries: list[tuple[str, list[str]]] = []
     if os.path.exists(probes):
         with open(probes, encoding="utf-8") as f:
             idents, names = load_probe_manifest(f.read())
-    if os.path.exists(schema):
-        with open(schema, encoding="utf-8") as f:
-            entries = load_metric_schema(f.read())
-    return RepoContext(probe_idents=idents, probe_names=names, metric_schema=entries)
+    return RepoContext(probe_idents=idents, probe_names=names)
 
 
 def iter_sources(paths: list[str], root: str):
@@ -163,7 +157,6 @@ _DIR_TO_RULE = {
     "futex_predicate": "FUTEX-PREDICATE",
     "deadline_thread": "DEADLINE-THREAD",
     "probe_manifest": "PROBE-MANIFEST",
-    "metric_schema": "METRIC-SCHEMA",
     "mem_order": "MEM-ORDER",
     "nolint_reason": "NOLINT-REASON",
 }

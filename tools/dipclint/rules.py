@@ -1,7 +1,7 @@
 """dipclint rules.
 
 Each rule is a function over one file's tokens/model plus shared repo
-context (the probe and metric manifests), returning Finding objects. The
+context (the probe manifest), returning Finding objects. The
 driver applies NOLINT-DIPC suppressions afterwards, so rules just report.
 
 Rules (see README "Static analysis" for the catalog):
@@ -13,8 +13,6 @@ Rules (see README "Static analysis" for the catalog):
                    must accept an os::Deadline
   PROBE-MANIFEST   DIPC_FAULT_POINT idents must exist in probes.def; raw
                    Injector.Probe calls are reserved to src/fault/
-  METRIC-SCHEMA    registered metric names must be derivable from
-                   metric_schema.def patterns (kind-checked)
   MEM-ORDER        memory_order_relaxed outside the metrics counter
                    classes needs an adjacent "// relaxed:" justification
 """
@@ -24,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from cpp_lexer import COMMENT, IDENT, PUNCT, STRING, Tok
+from cpp_lexer import COMMENT, IDENT, PUNCT, Tok
 from cpp_model import (
     Decl,
     Func,
@@ -40,7 +38,6 @@ ALL_RULES = (
     "FUTEX-PREDICATE",
     "DEADLINE-THREAD",
     "PROBE-MANIFEST",
-    "METRIC-SCHEMA",
     "MEM-ORDER",
     "NOLINT-REASON",
 )
@@ -73,14 +70,11 @@ class FileModel:
 class RepoContext:
     probe_idents: set[str]
     probe_names: set[str]
-    # (kind, [components]) with kind in {"Counter", "Gauge", "Histogram"}
-    metric_schema: list[tuple[str, list[str]]]
 
 
 # ---- Manifest loading -----------------------------------------------------
 
 _PROBE_RE = re.compile(r'DIPC_FAULT_PROBE\((\w+)\s*,\s*"([^"]+)"\)')
-_METRIC_RE = re.compile(r'DIPC_METRIC\((\w+)\s*,\s*"([^"]+)"\)')
 
 
 def load_probe_manifest(text: str) -> tuple[set[str], set[str]]:
@@ -89,32 +83,6 @@ def load_probe_manifest(text: str) -> tuple[set[str], set[str]]:
         idents.add(m.group(1))
         names.add(m.group(2))
     return idents, names
-
-
-def load_metric_schema(text: str) -> list[tuple[str, list[str]]]:
-    out = []
-    for m in _METRIC_RE.finditer(text):
-        out.append((m.group(1), m.group(2).split("/")))
-    return out
-
-
-def schema_examples(entry: tuple[str, list[str]]) -> list[str]:
-    """Concrete example names a schema pattern covers (for regex checks)."""
-    _, comps = entry
-    parts: list[list[str]] = []
-    for c in comps:
-        if c == "**":
-            parts.append(["x", "x/y"])
-        elif c == "*":
-            parts.append(["0"])
-        elif c.endswith("*"):
-            parts.append([c[:-1] + "0"])
-        else:
-            parts.append([c])
-    examples = [""]
-    for options in parts:
-        examples = [e + ("/" if e else "") + o for e in examples for o in options]
-    return examples
 
 
 # ---- CAP-LEAK -------------------------------------------------------------
@@ -512,76 +480,6 @@ def rule_probe_manifest(fm: FileModel, ctx: RepoContext) -> list[Finding]:
     return out
 
 
-# ---- METRIC-SCHEMA --------------------------------------------------------
-
-_GETTERS = {"GetCounter": "Counter", "GetGauge": "Gauge", "GetHistogram": "Histogram"}
-
-
-def _name_regex(arg: list[Tok]) -> str | None:
-    """Regex over the metric name from the call argument: string-literal
-    fragments stay literal, everything else becomes a wildcard. Returns
-    None when nothing literal is known (nothing to check)."""
-    frags = []
-    for frag in _split_plus(arg):
-        lit = None
-        if len(frag) == 1 and frag[0].kind == STRING and frag[0].text.startswith('"'):
-            lit = frag[0].text[1:-1]
-        frags.append(lit)
-    if not any(f is not None for f in frags):
-        return None
-    return "^" + "".join(re.escape(f) if f is not None else ".*" for f in frags) + "$"
-
-
-def _split_plus(toks: list[Tok]) -> list[list[Tok]]:
-    out: list[list[Tok]] = []
-    cur: list[Tok] = []
-    depth = 0
-    for t in toks:
-        if t.kind == PUNCT:
-            if t.text in "([{":
-                depth += 1
-            elif t.text in ")]}":
-                depth -= 1
-            elif t.text == "+" and depth == 0:
-                out.append(cur)
-                cur = []
-                continue
-    # (fallthrough appends below)
-        cur.append(t)
-    out.append(cur)
-    return out
-
-
-def rule_metric_schema(fm: FileModel, ctx: RepoContext) -> list[Finding]:
-    out: list[Finding] = []
-    toks = fm.code
-    examples: dict[str, list[str]] = {}
-    for entry in ctx.metric_schema:
-        examples.setdefault(entry[0], []).extend(schema_examples(entry))
-    for i, t in enumerate(toks):
-        if t.kind != IDENT or t.text not in _GETTERS:
-            continue
-        if i + 1 >= len(toks) or toks[i + 1].text != "(":
-            continue
-        close = match_forward(toks, i + 1)
-        args = split_args(toks[i + 2 : close])
-        if not args or not args[0]:
-            continue
-        pattern = _name_regex(args[0])
-        if pattern is None:
-            continue  # fully dynamic name: nothing checkable statically
-        kind = _GETTERS[t.text]
-        rx = re.compile(pattern)
-        if not any(rx.match(e) for e in examples.get(kind, [])):
-            lit = pattern[1:-1].replace("\\", "").replace(".*", "<*>")
-            out.append(Finding(
-                "METRIC-SCHEMA", fm.path, t.line,
-                f"{kind.lower()} name '{lit}' matches no "
-                f"src/obs/metric_schema.def pattern of that kind; add the "
-                f"series to the manifest (and README) or fix the name"))
-    return out
-
-
 # ---- MEM-ORDER ------------------------------------------------------------
 
 _MEMORDER_EXEMPT = ("src/obs/metrics.h",)
@@ -614,6 +512,5 @@ RULE_FUNCS = (
     rule_futex_predicate,
     rule_deadline_thread,
     rule_probe_manifest,
-    rule_metric_schema,
     rule_mem_order,
 )
