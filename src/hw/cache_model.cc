@@ -1,5 +1,6 @@
 #include "hw/cache_model.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "base/check.h"
@@ -11,58 +12,29 @@ TagArray::TagArray(uint64_t size_bytes, uint32_t ways, uint64_t line_size) : way
   const uint64_t sets = size_bytes / line_size / ways;
   DIPC_CHECK(std::has_single_bit(sets));
   set_mask_ = sets - 1;
-  slots_.resize(sets * ways_);
+  tags_.assign(sets * ways_, kEmpty);
 }
 
 bool TagArray::Touch(uint64_t line_addr) {
-  uint64_t set = line_addr & set_mask_;
-  Way* base = &slots_[set * ways_];
-  ++clock_;
-  Way* victim = base;
-  for (uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].tag == line_addr) {
-      base[w].lru = clock_;
-      ++hits_;
-      return true;
-    }
-    if (base[w].lru < victim->lru) {
-      victim = &base[w];
-    }
+  uint64_t* set = &tags_[(line_addr & set_mask_) * ways_];
+  // Stop at the tag, at the first empty way (nothing valid follows it) or at
+  // the last way, which a miss drops.
+  uint32_t w = 0;
+  while (w + 1 < ways_ && set[w] != line_addr && set[w] != kEmpty) {
+    ++w;
   }
-  victim->tag = line_addr;
-  victim->lru = clock_;
-  ++misses_;
-  return false;
+  const bool hit = set[w] == line_addr;
+  std::copy_backward(set, set + w, set + w + 1);
+  set[0] = line_addr;
+  return hit;
 }
 
 bool TagArray::Contains(uint64_t line_addr) const {
-  uint64_t set = line_addr & set_mask_;
-  const Way* base = &slots_[set * ways_];
-  for (uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].tag == line_addr) {
-      return true;
-    }
-  }
-  return false;
+  const uint64_t* set = &tags_[(line_addr & set_mask_) * ways_];
+  return std::find(set, set + ways_, line_addr) != set + ways_;
 }
 
-void TagArray::Invalidate(uint64_t line_addr) {
-  uint64_t set = line_addr & set_mask_;
-  Way* base = &slots_[set * ways_];
-  for (uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].tag == line_addr) {
-      base[w].tag = UINT64_MAX;
-      base[w].lru = 0;
-    }
-  }
-}
-
-void TagArray::InvalidateAll() {
-  for (Way& w : slots_) {
-    w.tag = UINT64_MAX;
-    w.lru = 0;
-  }
-}
+void TagArray::InvalidateAll() { std::fill(tags_.begin(), tags_.end(), kEmpty); }
 
 namespace {
 // E3-1220 V2-like geometry: 32 KB 8-way L1D, 256 KB 8-way L2, 8 MB 16-way L3.
@@ -88,44 +60,49 @@ sim::Duration CacheModel::Access(CpuId cpu, uint64_t addr, uint64_t size, bool i
   if (size == 0) {
     return sim::Duration::Zero();
   }
-  sim::Duration total;
-  uint64_t first = addr / kCacheLineSize;
-  uint64_t last = (addr + size - 1) / kCacheLineSize;
   PrivateLevels& priv = per_cpu_[cpu];
-  for (uint64_t line = first; line <= last; ++line) {
-    PageOwners* owners = OwnersOf(line / kLinesPerPage, is_write);
-    uint8_t* owner = owners == nullptr ? nullptr : &(*owners)[line % kLinesPerPage];
-    // Cross-CPU transfer: another core wrote this line since we last held it.
-    bool remote_dirty = owner != nullptr && *owner != cpu + 1 && *owner != 0;
-    if (remote_dirty) {
-      priv.l1.Invalidate(line);
-      priv.l2.Invalidate(line);
-    }
-    if (priv.l1.Touch(line)) {
-      total += costs_.l1_hit;
-      ++stats_.l1_hits;
-    } else if (priv.l2.Touch(line)) {
-      total += costs_.l2_hit;
-      ++stats_.l2_hits;
-      priv.l1.Touch(line);  // fill upward
-    } else if (remote_dirty) {
-      total += costs_.remote_transfer;
-      ++stats_.remote_transfers;
-      l3_.Touch(line);
-    } else if (l3_.Touch(line)) {
-      total += costs_.l3_hit;
-      ++stats_.l3_hits;
-    } else {
-      total += costs_.mem_access;
-      ++stats_.mem_accesses;
-    }
-    if (is_write) {
-      *owner = static_cast<uint8_t>(cpu + 1);
-    } else if (remote_dirty) {
-      *owner = 0;  // downgraded to shared/clean
+  const auto self = static_cast<uint8_t>(cpu + 1);
+  CacheStats n;  // lines served by each level in this access
+  uint64_t line = addr / kCacheLineSize;
+  const uint64_t last = (addr + size - 1) / kCacheLineSize;
+  while (line <= last) {
+    const uint64_t page = line / kLinesPerPage;
+    const uint64_t page_last = std::min(last, (page + 1) * kLinesPerPage - 1);
+    PageOwners* owners = OwnersOf(page, is_write);
+    for (; line <= page_last; ++line) {
+      uint8_t* owner = owners == nullptr ? nullptr : &(*owners)[line % kLinesPerPage];
+      if (owner != nullptr && *owner != 0 && *owner != self) {
+        // Cross-CPU transfer: another core wrote this line since we last
+        // held it. Any private copy is stale, so the line is fetched from
+        // the writer and lands most recent in every level.
+        priv.l1.Touch(line);
+        priv.l2.Touch(line);
+        l3_.Touch(line);
+        ++n.remote_transfers;
+        *owner = is_write ? self : 0;  // a read downgrades it to shared/clean
+        continue;
+      }
+      if (priv.l1.Touch(line)) {
+        ++n.l1_hits;
+      } else if (priv.l2.Touch(line)) {
+        ++n.l2_hits;  // the L1 miss above already filled it upward
+      } else if (l3_.Touch(line)) {
+        ++n.l3_hits;
+      } else {
+        ++n.mem_accesses;
+      }
+      if (is_write) {
+        *owner = self;
+      }
     }
   }
-  return total;
+  stats_.l1_hits += n.l1_hits;
+  stats_.l2_hits += n.l2_hits;
+  stats_.l3_hits += n.l3_hits;
+  stats_.mem_accesses += n.mem_accesses;
+  stats_.remote_transfers += n.remote_transfers;
+  return costs_.l1_hit * n.l1_hits + costs_.l2_hit * n.l2_hits + costs_.l3_hit * n.l3_hits +
+         costs_.mem_access * n.mem_accesses + costs_.remote_transfer * n.remote_transfers;
 }
 
 CacheModel::PageOwners* CacheModel::OwnersOf(uint64_t page, bool create) {

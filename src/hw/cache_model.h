@@ -10,12 +10,21 @@
 //   - TagArray set counts are powers of two (the constructor checks it), so
 //     a set index is `line & mask`. Every geometry in use (L1/L2/L3, both
 //     TLB levels) qualifies.
+//   - A set is `ways` plain tags ordered from most to least recently used:
+//     valid tags first, empty ways (UINT64_MAX) last. A hit moves its tag to
+//     the front; a miss shifts the set down one way, dropping the last, and
+//     writes the new tag at the front. That is exact LRU with no clock: an
+//     8-way set is one 64 B host line, and the 8 MiB L3 is 1 MiB of tags.
+//   - Access touches each level at most once per line, and a line that
+//     another CPU dirtied is touched once in each private level (which
+//     leaves it most recent and evicts nothing else) and then served as a
+//     miss.
 //   - Dirty ownership lives beside the tag arrays, not in them: a written
 //     line stays owned by its writer after eviction from every level, so a
 //     later read on another CPU still pays the remote transfer. The table is
 //     page-granular, one 64-entry owner array per 4 KiB physical page that
-//     was ever written, and Access caches the last page it looked up, so a
-//     run of lines on one page costs one table probe.
+//     was ever written. Access looks it up once per page, and caches the last
+//     page it looked up across calls.
 #ifndef DIPC_HW_CACHE_MODEL_H_
 #define DIPC_HW_CACHE_MODEL_H_
 
@@ -30,34 +39,25 @@
 
 namespace dipc::hw {
 
-// One set-associative tag array with LRU replacement. The set count
+// One set-associative tag array with exact LRU replacement. The set count
 // (size_bytes / line_size / ways) must be a power of two.
 class TagArray {
  public:
   TagArray(uint64_t size_bytes, uint32_t ways, uint64_t line_size = kCacheLineSize);
 
-  // Returns true on hit. On miss, inserts the line (evicting LRU).
+  // Returns true on hit. Either way the line ends up most recently used; a
+  // miss evicts the least recently used line of a full set.
   bool Touch(uint64_t line_addr);
-  // True if present, without updating LRU or inserting.
+  // True if present, without updating recency or inserting.
   bool Contains(uint64_t line_addr) const;
-  void Invalidate(uint64_t line_addr);
   void InvalidateAll();
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
  private:
-  struct Way {
-    uint64_t tag = UINT64_MAX;
-    uint64_t lru = 0;
-  };
+  static constexpr uint64_t kEmpty = UINT64_MAX;
 
   uint64_t set_mask_;  // sets - 1
   uint32_t ways_;
-  std::vector<Way> slots_;  // sets * ways_
-  uint64_t clock_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
+  std::vector<uint64_t> tags_;  // sets * ways_, each set most recent first
 };
 
 struct CacheStats {

@@ -21,8 +21,15 @@ class TlbModel {
 
   // Charges translation cost for the page containing `va` in address space
   // `asid`. Translations are tagged by asid, so a page-table switch does not
-  // have to flush (matching PCID-less Linux would flush; we model the flush
-  // explicitly in Flush()).
+  // have to flush. PCID-less Linux would flush on every switch; Flush()
+  // models that, but nothing calls it, so no switch pays for a flush.
+  //
+  // Known fault: TagArray takes its set index from the key's low bits, and
+  // both levels have fewer than 2^16 sets (16 and 256), so the set index is
+  // the asid's low bits alone. Every page of one address space competes for
+  // a single 4-way L1 set and a single 6-way L2 set, 10 entries in all, and
+  // dIPC domains, which share one page table, share those 10 entries too.
+  // Fixing the key changes every simulated row that translates.
   sim::Duration Translate(VirtAddr va, uint64_t asid) {
     uint64_t key = (PageNumber(va) << 16) ^ asid;
     if (l1_.Touch(key)) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dipc::os {
@@ -218,12 +219,7 @@ sim::Duration Kernel::MakeRunnable(Thread& t, std::optional<hw::CpuId> waker_cpu
       waker_cost += costs().ipi_send;
       lat += costs().ipi_deliver + costs().idle_exit;
     }
-    cs.dispatch_pending = true;
-    Thread* tp = &t;
-    machine_.events().ScheduleAfter(lat, [this, target, tp] {
-      cpus_[target].dispatch_pending = false;
-      Dispatch(target, *tp, sim::Duration::Zero(), /*standard_path=*/true);
-    });
+    ScheduleDispatch(target, t, lat);
   } else {
     cs.runq.push_back(&t);
     NoteRunqDepth(target);
@@ -276,8 +272,6 @@ void Kernel::CpuReleased(hw::CpuId cpu) {
     }
   }
   if (next != nullptr) {
-    cs.dispatch_pending = true;
-    Thread* tp = next;
     // Unpinned threads pay the configured wakeup/runqueue latency here too:
     // on a loaded Linux the next task is not on the CPU the same nanosecond.
     // Deep run queues amortize it (the next task is already waiting), which
@@ -288,14 +282,25 @@ void Kernel::CpuReleased(hw::CpuId cpu) {
       cs.idle = true;  // the gap is architecturally idle time
       cs.idle_since = now();
     }
-    machine_.events().ScheduleAfter(lat, [this, cpu, tp] {
-      cpus_[cpu].dispatch_pending = false;
-      Dispatch(cpu, *tp, sim::Duration::Zero(), /*standard_path=*/true);
-    });
+    ScheduleDispatch(cpu, *next, lat);
   } else {
     cs.idle = true;
     cs.idle_since = now();
   }
+}
+
+void Kernel::ScheduleDispatch(hw::CpuId cpu, Thread& t, sim::Duration lat) {
+  CpuState& cs = cpus_[cpu];
+  DIPC_CHECK(!cs.dispatch_pending);
+  cs.dispatch_pending = &t;
+  // The thread waits in CpuState, so the event captures 16 B and fits
+  // std::function's local buffer: a dispatch allocates nothing.
+  auto fire = [this, cpu] {
+    Thread& next = *std::exchange(cpus_[cpu].dispatch_pending, nullptr);
+    Dispatch(cpu, next, sim::Duration::Zero(), /*standard_path=*/true);
+  };
+  static_assert(sizeof(fire) <= 16);
+  machine_.events().ScheduleAfter(lat, fire);
 }
 
 void Kernel::Dispatch(hw::CpuId cpu, Thread& t, sim::Duration extra, bool standard_path) {

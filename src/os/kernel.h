@@ -260,7 +260,7 @@ class Kernel {
   struct CpuState {
     Thread* running = nullptr;
     std::deque<Thread*> runq;
-    bool dispatch_pending = false;
+    Thread* dispatch_pending = nullptr;  // due to be dispatched here by an event
     bool idle = true;
     sim::Time idle_since;
     Process* last_process = nullptr;  // for page-table/current switch costs
@@ -272,6 +272,8 @@ class Kernel {
   void NoteRunqDepth(hw::CpuId cpu);
   // Called when the running thread on `cpu` stops running (block/exit).
   void CpuReleased(hw::CpuId cpu);
+  // Dispatches `t` on the idle `cpu` after `lat`; one at a time per CPU.
+  void ScheduleDispatch(hw::CpuId cpu, Thread& t, sim::Duration lat);
   // Dispatches `t` on `cpu` after `extra` cost; standard_path charges the
   // full scheduler cost, otherwise only `extra` (direct handoff).
   void Dispatch(hw::CpuId cpu, Thread& t, sim::Duration extra, bool standard_path);

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <list>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "hw/cache_model.h"
 #include "hw/cost_model.h"
@@ -129,8 +133,184 @@ TEST_F(CacheModelTest, WriteAcrossPageBoundaryOwnsEveryLine) {
   EXPECT_EQ(caches_.Access(1, 0x5000 + 128, 64, false), costs_.mem_access);  // never written
 }
 
+TEST_F(CacheModelTest, RemoteWriteRefreshesOnlyThatLine) {
+  // CPU 1 fills one L1 set with 8 lines (the L1 set stride is 64 lines).
+  constexpr uint64_t kL1SetStride = 64 * kCacheLineSize;
+  constexpr uint64_t kBase = 0x100000;
+  for (uint64_t k = 0; k < 8; ++k) {
+    caches_.Access(1, kBase + k * kL1SetStride, 64, /*is_write=*/false);
+  }
+  // CPU 0 writes the first line: CPU 1's copy is stale, so its next read is
+  // a remote transfer, and the read after that is back to an L1 hit.
+  caches_.Access(0, kBase, 64, /*is_write=*/true);
+  EXPECT_EQ(caches_.Access(1, kBase, 64, false), costs_.remote_transfer);
+  EXPECT_EQ(caches_.Access(1, kBase, 64, false), costs_.l1_hit);
+  // Refreshing the stale line evicted nothing else from that L1 set.
+  for (uint64_t k = 1; k < 8; ++k) {
+    EXPECT_EQ(caches_.Access(1, kBase + k * kL1SetStride, 64, false), costs_.l1_hit) << k;
+  }
+}
+
 TEST(TagArrayDeathTest, RejectsNonPowerOfTwoSetCount) {
   EXPECT_DEATH(TagArray(3 * 2 * 64, 2, 64), "DIPC_CHECK failed");  // 3 sets
+}
+
+// Naive exact LRU: one list per set, most recent first.
+class ReferenceLru {
+ public:
+  ReferenceLru(uint64_t sets, uint32_t ways) : sets_(sets), ways_(ways) {}
+
+  bool Touch(uint64_t key) {
+    std::list<uint64_t>& set = sets_[key % sets_.size()];
+    for (auto it = set.begin(); it != set.end(); ++it) {
+      if (*it == key) {
+        set.splice(set.begin(), set, it);
+        return true;
+      }
+    }
+    set.push_front(key);
+    if (set.size() > ways_) {
+      set.pop_back();
+    }
+    return false;
+  }
+
+  bool Contains(uint64_t key) const {
+    for (uint64_t k : sets_[key % sets_.size()]) {
+      if (k == key) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void Clear() {
+    for (auto& set : sets_) {
+      set.clear();
+    }
+  }
+
+ private:
+  std::vector<std::list<uint64_t>> sets_;
+  uint32_t ways_;
+};
+
+struct Geometry {
+  const char* name;
+  uint64_t size_bytes;
+  uint32_t ways;
+  uint64_t line_size;
+};
+
+// Every geometry in use: L1, L2, L3 and the two TLB levels.
+constexpr Geometry kGeometries[] = {
+    {"l1", 32 * 1024, 8, kCacheLineSize},
+    {"l2", 256 * 1024, 8, kCacheLineSize},
+    {"l3", 8 * 1024 * 1024, 16, kCacheLineSize},
+    {"tlb_l1", 64 * kPageSize, 4, kPageSize},
+    {"tlb_l2", 1536 * kPageSize, 6, kPageSize},
+};
+
+TEST(TagArray, MatchesReferenceLru) {
+  for (const Geometry& g : kGeometries) {
+    const uint64_t sets = g.size_bytes / g.line_size / g.ways;
+    for (uint64_t seed : {1, 2, 3, 1009}) {
+      SCOPED_TRACE(std::string(g.name) + " seed " + std::to_string(seed));
+      TagArray tags(g.size_bytes, g.ways, g.line_size);
+      ReferenceLru ref(sets, g.ways);
+      std::mt19937_64 rng(seed);
+      // Four hot sets, each with three times as many tags as ways, so most
+      // touches conflict; one touch in 16 lands anywhere.
+      for (int i = 0; i < 20000; ++i) {
+        const uint64_t r = rng();
+        uint64_t key;
+        if (r % 16 == 0) {
+          key = (r >> 8) % (sets * g.ways * 4);
+        } else {
+          key = ((r >> 8) % (3 * g.ways)) * sets + (r >> 32) % 4;
+        }
+        if (r % 4999 == 0) {
+          tags.InvalidateAll();
+          ref.Clear();
+        }
+        ASSERT_EQ(tags.Touch(key), ref.Touch(key)) << "touch " << i << " key " << key;
+        const uint64_t probe = ((r >> 40) % (3 * g.ways)) * sets + (r >> 56) % 4;
+        ASSERT_EQ(tags.Contains(probe), ref.Contains(probe)) << "probe " << i;
+      }
+    }
+  }
+}
+
+// A seeded trace of reads and writes on 4 CPUs: 1 B to 64 KiB, same-page
+// and page-crossing ranges, and strides that conflict in every cache set.
+// The expected values were recorded from the clock-stamped LRU tag arrays
+// the model used before its sets were kept in recency order; any host-side
+// rewrite of the cache or TLB model must reproduce them exactly.
+TEST(CacheModelGolden, SeededTraceAcrossFourCpus) {
+  constexpr uint32_t kCpus = 4;
+  constexpr uint64_t kL3SetStride = 8192 * kCacheLineSize;
+  CostModel costs;
+  CacheModel caches(kCpus, costs);
+  std::vector<TlbModel> tlbs;
+  tlbs.reserve(kCpus);
+  for (uint32_t c = 0; c < kCpus; ++c) {
+    tlbs.emplace_back(costs);
+  }
+  std::mt19937_64 rng(42);
+  sim::Duration total;
+  for (int i = 0; i < 6000; ++i) {
+    const uint64_t r = rng();
+    const auto cpu = static_cast<CpuId>(r % kCpus);
+    const bool is_write = (r >> 2) % 3 == 0;
+    uint64_t size;
+    switch ((r >> 4) % 8) {
+      case 0:
+        size = 1 + (r >> 8) % (64 * 1024);
+        break;
+      case 1:
+      case 2:
+        size = 1 + (r >> 8) % 4096;
+        break;
+      default:
+        size = 1 + (r >> 8) % 256;
+        break;
+    }
+    uint64_t addr;
+    switch ((r >> 28) % 4) {
+      case 0:  // set-conflicting stride
+        addr = 0x4000000 + ((r >> 32) % 40) * kL3SetStride + ((r >> 40) % 4) * kCacheLineSize;
+        break;
+      case 1:  // straddles a page boundary
+        addr = 0x1000000 + ((r >> 32) % 64) * kPageSize - 1 - (r >> 48) % 200;
+        break;
+      case 2:  // a hot 24 KiB region
+        addr = 0x3000000 + (r >> 32) % (24 * 1024);
+        break;
+      default:  // anywhere in a 1 MiB region
+        addr = 0x2000000 + (r >> 32) % (1024 * 1024);
+        break;
+    }
+    total += caches.Access(cpu, addr, size, is_write);
+    const uint64_t asid = 1 + (r >> 60) % 3;
+    for (uint64_t page = PageNumber(addr); page <= PageNumber(addr + size - 1); ++page) {
+      total += tlbs[cpu].Translate(page << kPageShift, asid);
+    }
+    if (i % 1500 == 1499) {
+      caches.FlushPrivate(static_cast<CpuId>((r >> 16) % kCpus));
+    }
+  }
+  uint64_t walks = 0;
+  for (const TlbModel& tlb : tlbs) {
+    walks += tlb.walks();
+  }
+  const CacheStats& s = caches.stats();
+  EXPECT_EQ(s.l1_hits, 8628u);
+  EXPECT_EQ(s.l2_hits, 75410u);
+  EXPECT_EQ(s.l3_hits, 142352u);
+  EXPECT_EQ(s.mem_accesses, 96666u);
+  EXPECT_EQ(s.remote_transfers, 108837u);
+  EXPECT_EQ(total.picos(), 14040905940);
+  EXPECT_EQ(walks, 12781u);
 }
 
 TEST(TlbModel, MissThenHit) {
