@@ -308,11 +308,9 @@ void Codoms::NotifyPlainWrite(hw::PhysAddr pa, uint64_t len) {
     return;
   }
   // Any plain write overlapping a stored capability destroys it.
-  hw::PhysAddr first_slot = (pa / kCapMemBytes) * kCapMemBytes;
-  hw::PhysAddr last = pa + len - 1;
-  for (hw::PhysAddr slot = first_slot; slot <= last; slot += kCapMemBytes) {
-    stored_caps_.erase(slot);
-  }
+  const hw::PhysAddr first_slot = (pa / kCapMemBytes) * kCapMemBytes;
+  const hw::PhysAddr last = pa + len - 1;
+  stored_caps_.erase(stored_caps_.lower_bound(first_slot), stored_caps_.upper_bound(last));
 }
 
 }  // namespace dipc::codoms

@@ -17,8 +17,8 @@
 #define DIPC_CODOMS_CODOMS_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/result.h"
@@ -140,8 +140,9 @@ class Codoms {
   obs::Counter* m_rebinds_ = nullptr;
   obs::Counter* m_revokes_ = nullptr;
   std::vector<obs::Counter*> m_caps_minted_;
-  // Physical address (32 B aligned) -> stored capability.
-  std::unordered_map<hw::PhysAddr, Capability> stored_caps_;
+  // Physical address (32 B aligned) -> stored capability. Ordered, so a
+  // plain write erases the slots it overlaps as one range.
+  std::map<hw::PhysAddr, Capability> stored_caps_;
 };
 
 }  // namespace dipc::codoms

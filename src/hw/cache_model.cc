@@ -106,16 +106,14 @@ sim::Duration CacheModel::Access(CpuId cpu, uint64_t addr, uint64_t size, bool i
 }
 
 CacheModel::PageOwners* CacheModel::OwnersOf(uint64_t page, bool create) {
-  if (page == cached_page_ && (cached_owners_ != nullptr || !create)) {
-    return cached_owners_;
+  if (page >= owners_.size()) {
+    if (!create) {
+      return nullptr;
+    }
+    DIPC_CHECK(page < kMaxFrames);
+    owners_.resize(page + 1);
   }
-  auto it = dirty_pages_.find(page);
-  if (it == dirty_pages_.end() && create) {
-    it = dirty_pages_.emplace(page, PageOwners{}).first;
-  }
-  cached_page_ = page;
-  cached_owners_ = it == dirty_pages_.end() ? nullptr : &it->second;
-  return cached_owners_;
+  return &owners_[page];
 }
 
 void CacheModel::FlushPrivate(CpuId cpu) {

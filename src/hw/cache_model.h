@@ -22,15 +22,16 @@
 //   - Dirty ownership lives beside the tag arrays, not in them: a written
 //     line stays owned by its writer after eviction from every level, so a
 //     later read on another CPU still pays the remote transfer. The table is
-//     page-granular, one 64-entry owner array per 4 KiB physical page that
-//     was ever written. Access looks it up once per page, and caches the last
-//     page it looked up across calls.
+//     page-granular, one 64-entry owner array per 4 KiB physical page, in a
+//     vector indexed by page (frame) number: frames come from PhysMem's bump
+//     allocator, so the numbers are dense. It grows to the highest page ever
+//     written; a read beyond it finds every line clean. Access looks it up
+//     once per page.
 #ifndef DIPC_HW_CACHE_MODEL_H_
 #define DIPC_HW_CACHE_MODEL_H_
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/cost_model.h"
@@ -93,17 +94,14 @@ class CacheModel {
   // Per line of one page: the CPU that last wrote it (+1; 0 = clean/none).
   using PageOwners = std::array<uint8_t, kLinesPerPage>;
 
-  // Owner array of physical page `page`, or nullptr if no line of it was
-  // ever written and `create` is false.
+  // Owner array of physical page `page`, or nullptr if the table does not
+  // reach it and `create` is false.
   PageOwners* OwnersOf(uint64_t page, bool create);
 
   const CostModel& costs_;
   std::vector<PrivateLevels> per_cpu_;
   TagArray l3_;
-  // page -> owner array. Node-based, so cached_owners_ survives rehashing.
-  std::unordered_map<uint64_t, PageOwners> dirty_pages_;
-  uint64_t cached_page_ = UINT64_MAX;
-  PageOwners* cached_owners_ = nullptr;
+  std::vector<PageOwners> owners_;  // page number -> owner array
   CacheStats stats_;
 };
 

@@ -9,9 +9,12 @@
 #ifndef DIPC_HW_PAGE_TABLE_H_
 #define DIPC_HW_PAGE_TABLE_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <utility>
 
 #include "base/result.h"
 #include "hw/types.h"
@@ -53,18 +56,30 @@ class PageTable {
   }
 
   base::Status UnmapPage(VirtAddr va) {
-    return ptes_.erase(PageNumber(va)) == 1 ? base::Status::Ok() : base::ErrorCode::kNotFound;
+    const uint64_t page = PageNumber(va);
+    memo_[page % kMemoSize] = MemoEntry{};
+    return ptes_.erase(page) == 1 ? base::Status::Ok() : base::ErrorCode::kNotFound;
   }
 
+  // Found PTEs are memoized direct-mapped by the page number's low bits, so
+  // the pages of a recent multi-page walk are found again without descending
+  // the tree. Map nodes are stable across MapPage; only UnmapPage drops one,
+  // and it clears the page's memo entry.
   const Pte* Lookup(VirtAddr va) const {
-    auto it = ptes_.find(PageNumber(va));
-    return it == ptes_.end() ? nullptr : &it->second;
+    const uint64_t page = PageNumber(va);
+    MemoEntry& memo = memo_[page % kMemoSize];
+    if (memo.page != page) {
+      auto it = ptes_.find(page);
+      if (it == ptes_.end()) {
+        return nullptr;
+      }
+      memo = MemoEntry{page, &it->second};
+    }
+    return memo.pte;
   }
 
-  Pte* LookupMut(VirtAddr va) {
-    auto it = ptes_.find(PageNumber(va));
-    return it == ptes_.end() ? nullptr : &it->second;
-  }
+  // Mutable through a non-const table, so the cast is sound.
+  Pte* LookupMut(VirtAddr va) { return const_cast<Pte*>(std::as_const(*this).Lookup(va)); }
 
   // Re-tags one page (dom_remap; §5.2.2 moves pages between domains).
   base::Status SetTag(VirtAddr va, DomainTag tag) {
@@ -92,8 +107,15 @@ class PageTable {
   auto end() const { return ptes_.end(); }
 
  private:
+  struct MemoEntry {
+    uint64_t page = UINT64_MAX;  // no page number reaches it
+    const Pte* pte = nullptr;
+  };
+  static constexpr size_t kMemoSize = 16;
+
   Id id_;
   std::map<uint64_t, Pte> ptes_;  // page number -> PTE, ordered for iteration
+  mutable std::array<MemoEntry, kMemoSize> memo_;
 };
 
 }  // namespace dipc::hw

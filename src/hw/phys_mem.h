@@ -1,22 +1,24 @@
-// Sparse physical memory backing store.
+// Physical memory backing store.
 #ifndef DIPC_HW_PHYS_MEM_H_
 #define DIPC_HW_PHYS_MEM_H_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstring>
 #include <memory>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "base/check.h"
 #include "hw/types.h"
 
 namespace dipc::hw {
 
-// Frame-granular sparse memory. Frames are allocated on demand and
-// zero-filled; frame numbers are handed out by a bump allocator so tests are
-// deterministic.
+// Frame-granular memory. Frames materialize on first touch, zero-filled;
+// frame numbers are handed out by a bump allocator, so tests are
+// deterministic and the numbers in use are dense: the frame table is a
+// vector indexed by frame number.
 class PhysMem {
  public:
   PhysMem() = default;
@@ -29,38 +31,39 @@ class PhysMem {
   void Read(PhysAddr pa, std::span<std::byte> out) const;
   void Write(PhysAddr pa, std::span<const std::byte> data);
 
-  // Copies `size` bytes between physical ranges (may cross frames).
+  // Copies `size` bytes between physical ranges (may cross frames), one
+  // memmove per frame pair. The ranges must not overlap across frames.
   void Copy(PhysAddr dst, PhysAddr src, uint64_t size);
 
   uint64_t frames_allocated() const { return next_frame_ - 1; }
-  uint64_t frames_touched() const { return frames_.size(); }
 
  private:
   using Frame = std::array<std::byte, kPageSize>;
 
-  Frame& FrameFor(PhysAddr pa) const {
-    uint64_t fn = pa >> kPageShift;
-    auto it = frames_.find(fn);
-    if (it == frames_.end()) {
-      auto frame = std::make_unique<Frame>();
-      frame->fill(std::byte{0});
-      it = frames_.emplace(fn, std::move(frame)).first;
+  std::byte* FrameFor(PhysAddr pa) const {
+    const uint64_t fn = pa >> kPageShift;
+    if (fn >= frames_.size()) {
+      DIPC_CHECK(fn < kMaxFrames);
+      frames_.resize(fn + 1);
     }
-    return *it->second;
+    std::unique_ptr<Frame>& frame = frames_[fn];
+    if (frame == nullptr) {
+      frame = std::make_unique<Frame>();  // value-initialized: zero-filled
+    }
+    return frame->data();
   }
 
   // Frames materialize lazily even on reads (zero-fill), hence mutable.
-  mutable std::unordered_map<uint64_t, std::unique_ptr<Frame>> frames_;
+  mutable std::vector<std::unique_ptr<Frame>> frames_;  // frame number -> frame
   uint64_t next_frame_ = 1;  // frame 0 reserved
 };
 
 inline void PhysMem::Read(PhysAddr pa, std::span<std::byte> out) const {
   size_t done = 0;
   while (done < out.size()) {
-    const Frame& f = FrameFor(pa + done);
     uint64_t off = PageOffset(pa + done);
     size_t chunk = std::min<size_t>(out.size() - done, kPageSize - off);
-    std::memcpy(out.data() + done, f.data() + off, chunk);
+    std::memcpy(out.data() + done, FrameFor(pa + done) + off, chunk);
     done += chunk;
   }
 }
@@ -68,21 +71,20 @@ inline void PhysMem::Read(PhysAddr pa, std::span<std::byte> out) const {
 inline void PhysMem::Write(PhysAddr pa, std::span<const std::byte> data) {
   size_t done = 0;
   while (done < data.size()) {
-    Frame& f = FrameFor(pa + done);
     uint64_t off = PageOffset(pa + done);
     size_t chunk = std::min<size_t>(data.size() - done, kPageSize - off);
-    std::memcpy(f.data() + off, data.data() + done, chunk);
+    std::memcpy(FrameFor(pa + done) + off, data.data() + done, chunk);
     done += chunk;
   }
 }
 
 inline void PhysMem::Copy(PhysAddr dst, PhysAddr src, uint64_t size) {
-  std::array<std::byte, 512> buf;
   uint64_t done = 0;
   while (done < size) {
-    uint64_t chunk = std::min<uint64_t>(size - done, buf.size());
-    Read(src + done, std::span(buf.data(), chunk));
-    Write(dst + done, std::span<const std::byte>(buf.data(), chunk));
+    const uint64_t src_off = PageOffset(src + done);
+    const uint64_t dst_off = PageOffset(dst + done);
+    const uint64_t chunk = std::min({size - done, kPageSize - src_off, kPageSize - dst_off});
+    std::memmove(FrameFor(dst + done) + dst_off, FrameFor(src + done) + src_off, chunk);
     done += chunk;
   }
 }

@@ -13,6 +13,10 @@ using CpuId = uint32_t;
 inline constexpr uint64_t kPageSize = 4096;
 inline constexpr uint64_t kPageShift = 12;
 inline constexpr uint64_t kCacheLineSize = 64;
+// Frame numbers are dense (a bump allocator hands them out), so per-frame
+// state lives in tables indexed by frame number. A frame number at or above
+// this (64 GiB of simulated memory) is a wild address, not a table index.
+inline constexpr uint64_t kMaxFrames = uint64_t{1} << 24;
 
 constexpr uint64_t PageNumber(VirtAddr va) { return va >> kPageShift; }
 constexpr uint64_t PageOffset(VirtAddr va) { return va & (kPageSize - 1); }

@@ -138,7 +138,6 @@ void Kernel::Charge(hw::CpuId cpu, hw::DomainTag domain, Bill bill, sim::Duratio
 // ---- Awaitables ----
 
 void Kernel::SpendAwaiter::await_suspend(std::coroutine_handle<> h) {
-  // The CPU stays assigned to the thread; we just advance virtual time.
   kernel->machine_.events().ScheduleResumeAfter(d, h);
 }
 
@@ -383,33 +382,46 @@ void Kernel::OnThreadExit(Thread& t) {
 
 // ---- User memory ----
 
+template <typename Fn>
+base::Result<sim::Duration> Kernel::WalkUser(Thread& t, hw::VirtAddr va, uint64_t len,
+                                             hw::AccessType type, Fn fn) {
+  const hw::PageTable& pt = t.process().page_table();
+  auto check = codoms_.CheckDataAccess(t.last_cpu(), pt, t.cap_ctx(), va, len, type);
+  if (!check.ok()) {
+    return check.code();
+  }
+  uint64_t done = 0;
+  while (done < len) {
+    const uint64_t chunk =
+        std::min<uint64_t>(len - done, hw::kPageSize - hw::PageOffset(va + done));
+    auto pa = pt.Translate(va + done);
+    DIPC_CHECK(pa.has_value());  // CheckDataAccess verified presence
+    fn(*pa, done, chunk);
+    done += chunk;
+  }
+  return check.value();
+}
+
 base::Result<sim::Duration> Kernel::UserAccessCost(Thread& t, hw::VirtAddr va, uint64_t len,
                                                    hw::AccessType type) {
   if (len == 0) {
     return sim::Duration::Zero();
   }
-  hw::PageTable& pt = t.process().page_table();
-  hw::CpuId cpu = t.last_cpu();
-  auto check = codoms_.CheckDataAccess(cpu, pt, t.cap_ctx(), va, len, type);
+  const hw::CpuId cpu = t.last_cpu();
+  const hw::PageTable::Id asid = t.process().page_table().id();
+  const bool is_write = type == hw::AccessType::kWrite;
+  sim::Duration d;
+  auto check = WalkUser(t, va, len, type, [&](hw::PhysAddr pa, uint64_t done, uint64_t chunk) {
+    d += machine_.cpu(cpu).tlb().Translate(va + done, asid);
+    d += machine_.caches().Access(cpu, pa, chunk, is_write);
+    if (is_write) {
+      codoms_.NotifyPlainWrite(pa, chunk);
+    }
+  });
   if (!check.ok()) {
     return check.code();
   }
-  sim::Duration d = check.value();
-  bool is_write = type == hw::AccessType::kWrite;
-  hw::VirtAddr end = va + len;
-  hw::VirtAddr pos = va;
-  while (pos < end) {
-    uint64_t chunk = std::min<uint64_t>(end - pos, hw::kPageSize - hw::PageOffset(pos));
-    d += machine_.cpu(cpu).tlb().Translate(pos, pt.id());
-    auto pa = pt.Translate(pos);
-    DIPC_CHECK(pa.has_value());  // CheckDataAccess verified presence
-    d += machine_.caches().Access(cpu, *pa, chunk, is_write);
-    if (is_write) {
-      codoms_.NotifyPlainWrite(*pa, chunk);
-    }
-    pos += chunk;
-  }
-  return d;
+  return check.value() + d;
 }
 
 sim::Task<base::Status> Kernel::TouchUser(Env env, hw::VirtAddr va, uint64_t len,
@@ -431,11 +443,12 @@ sim::Task<base::Status> Kernel::CopyFromUser(Env env, hw::PhysAddr kernel_pa,
   }
   sim::Duration d = user_cost.value();
   d += machine_.caches().Access(t.last_cpu(), kernel_pa, len, /*is_write=*/true);
-  // Move the actual bytes.
-  std::vector<std::byte> buf(len);
-  base::Status rs = UserRead(t, user_va, buf);
-  DIPC_CHECK(rs.ok());
-  machine_.mem().Write(kernel_pa, buf);
+  // Move the actual bytes, frame to frame.
+  auto moved = WalkUser(t, user_va, len, hw::AccessType::kRead,
+                        [this, kernel_pa](hw::PhysAddr pa, uint64_t done, uint64_t chunk) {
+                          machine_.mem().Copy(kernel_pa + done, pa, chunk);
+                        });
+  DIPC_CHECK(moved.ok());
   // Fig. 2 counts the copy as kernel time; the domain books call it what it
   // is: data-plane copy time.
   co_await SpendAs(t, d, Bill::kCopy);
@@ -451,49 +464,33 @@ sim::Task<base::Status> Kernel::CopyToUser(Env env, hw::VirtAddr user_va, hw::Ph
   }
   sim::Duration d = user_cost.value();
   d += machine_.caches().Access(t.last_cpu(), kernel_pa, len, /*is_write=*/false);
-  std::vector<std::byte> buf(len);
-  machine_.mem().Read(kernel_pa, buf);
-  base::Status ws = UserWrite(t, user_va, buf);
-  DIPC_CHECK(ws.ok());
+  // UserAccessCost already told CODOMs about every chunk written here, and
+  // nothing can store a capability before the bytes land (this coroutine
+  // has not suspended), so the move does not notify again.
+  auto moved = WalkUser(t, user_va, len, hw::AccessType::kWrite,
+                        [this, kernel_pa](hw::PhysAddr pa, uint64_t done, uint64_t chunk) {
+                          machine_.mem().Copy(pa, kernel_pa + done, chunk);
+                        });
+  DIPC_CHECK(moved.ok());
   co_await SpendAs(t, d, Bill::kCopy);
   co_return base::Status::Ok();
 }
 
 base::Status Kernel::UserWrite(Thread& t, hw::VirtAddr va, std::span<const std::byte> data) {
-  hw::PageTable& pt = t.process().page_table();
-  auto check =
-      codoms_.CheckDataAccess(t.last_cpu(), pt, t.cap_ctx(), va, data.size(), hw::AccessType::kWrite);
-  if (!check.ok()) {
-    return check.status();
-  }
-  uint64_t done = 0;
-  while (done < data.size()) {
-    uint64_t chunk = std::min<uint64_t>(data.size() - done, hw::kPageSize - hw::PageOffset(va + done));
-    auto pa = pt.Translate(va + done);
-    DIPC_CHECK(pa.has_value());
-    machine_.mem().Write(*pa, data.subspan(done, chunk));
-    codoms_.NotifyPlainWrite(*pa, chunk);
-    done += chunk;
-  }
-  return base::Status::Ok();
+  return WalkUser(t, va, data.size(), hw::AccessType::kWrite,
+                  [this, data](hw::PhysAddr pa, uint64_t done, uint64_t chunk) {
+                    machine_.mem().Write(pa, data.subspan(done, chunk));
+                    codoms_.NotifyPlainWrite(pa, chunk);
+                  })
+      .status();
 }
 
 base::Status Kernel::UserRead(Thread& t, hw::VirtAddr va, std::span<std::byte> out) {
-  hw::PageTable& pt = t.process().page_table();
-  auto check =
-      codoms_.CheckDataAccess(t.last_cpu(), pt, t.cap_ctx(), va, out.size(), hw::AccessType::kRead);
-  if (!check.ok()) {
-    return check.status();
-  }
-  uint64_t done = 0;
-  while (done < out.size()) {
-    uint64_t chunk = std::min<uint64_t>(out.size() - done, hw::kPageSize - hw::PageOffset(va + done));
-    auto pa = pt.Translate(va + done);
-    DIPC_CHECK(pa.has_value());
-    machine_.mem().Read(*pa, out.subspan(done, chunk));
-    done += chunk;
-  }
-  return base::Status::Ok();
+  return WalkUser(t, va, out.size(), hw::AccessType::kRead,
+                  [this, out](hw::PhysAddr pa, uint64_t done, uint64_t chunk) {
+                    machine_.mem().Read(pa, out.subspan(done, chunk));
+                  })
+      .status();
 }
 
 // ---- Virtual memory ----

@@ -69,12 +69,18 @@ class Kernel {
   // ---- Time ----
 
   // Charges `d` to `cat` (and to the thread's current domain) and advances
-  // virtual time by suspending until now+d. Zero durations don't suspend.
+  // virtual time to now+d. The CPU stays the thread's throughout. Zero
+  // durations don't suspend. When the run loop has nothing due at or before
+  // now+d, the Spend completes in place (EventQueue::TryAdvance): the clock
+  // moves and the coroutine continues without a heap entry or a resume.
+  // Otherwise it suspends until an event resumes it at now+d.
   struct SpendAwaiter {
     Kernel* kernel;
     Thread* thread;
     sim::Duration d;
-    bool await_ready() const { return d <= sim::Duration::Zero(); }
+    bool await_ready() const {
+      return d <= sim::Duration::Zero() || kernel->machine_.events().TryAdvance(d);
+    }
     void await_suspend(std::coroutine_handle<> h);
     void await_resume() {}
   };
@@ -265,6 +271,13 @@ class Kernel {
     sim::Time idle_since;
     Process* last_process = nullptr;  // for page-table/current switch costs
   };
+
+  // The one walk of a user-memory access: a single CheckDataAccess of
+  // [va, va+len) for `type`, then fn(pa, done, chunk) for each page chunk in
+  // order (`done` bytes precede it). Returns the check's cost or its fault.
+  template <typename Fn>
+  base::Result<sim::Duration> WalkUser(Thread& t, hw::VirtAddr va, uint64_t len,
+                                       hw::AccessType type, Fn fn);
 
   hw::CpuId PickCpu(const Thread& t) const;
   // Publishes `cpu`'s run-queue depth (gauge + trace instant) after a

@@ -74,10 +74,7 @@ bool EventQueue::SkipCancelled() {
   return false;
 }
 
-bool EventQueue::RunOne() {
-  if (!SkipCancelled()) {
-    return false;
-  }
+void EventQueue::FireTop() {
   const Entry top = heap_.top();
   heap_.pop();
   // Take the action out before running it: it may schedule events, which can
@@ -101,27 +98,63 @@ bool EventQueue::RunOne() {
   } else {
     fn();
   }
+}
+
+bool EventQueue::RunOne() {
+  if (!SkipCancelled()) {
+    return false;
+  }
+  FireTop();
+  return true;
+}
+
+bool EventQueue::TryAdvance(Duration d) {
+  DIPC_CHECK(d >= Duration::Zero());
+  const Time t = now_ + d;
+  if (t > run_deadline_) {
+    return false;  // past the run loop's deadline, or no run loop at all
+  }
+  // Strict: an event due at `t` itself was queued first, so it fires first.
+  if (SkipCancelled() && heap_.top().at <= t) {
+    return false;
+  }
+  now_ = t;
+  ++fired_count_;
   return true;
 }
 
 uint64_t EventQueue::RunUntilIdle(uint64_t max_events) {
-  uint64_t n = 0;
-  while (n < max_events && RunOne()) {
-    ++n;
+  if (max_events != UINT64_MAX) {
+    uint64_t n = 0;
+    while (n < max_events && RunOne()) {
+      ++n;
+    }
+    return n;
   }
-  return n;
+  return RunLoop(Time::Max());
 }
 
 uint64_t EventQueue::RunUntil(Time deadline) {
-  uint64_t n = 0;
-  while (SkipCancelled() && heap_.top().at <= deadline) {
-    RunOne();
-    ++n;
-  }
+  const uint64_t n = RunLoop(deadline);
   if (now_ < deadline) {
     now_ = deadline;
   }
   return n;
+}
+
+uint64_t EventQueue::RunLoop(Time deadline) {
+  const uint64_t fired_before = fired_count_;
+  // Restored on the way out, an exception included, so a bare RunOne()
+  // after this loop never advances in place.
+  struct Restore {
+    Time& deadline;
+    Time outer;
+    ~Restore() { deadline = outer; }
+  } restore{run_deadline_, std::exchange(run_deadline_, deadline)};
+  while (SkipCancelled() && heap_.top().at <= deadline) {
+    FireTop();
+  }
+  return fired_count_ - fired_before;
 }
 
 }  // namespace dipc::sim

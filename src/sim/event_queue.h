@@ -16,6 +16,12 @@
 //     longer matches its slot) that RunOne and RunUntil skip.
 //   - A slot holds either a coroutine handle (ScheduleResume*: resuming it
 //     allocates nothing) or a std::function, never both.
+//   - TryAdvance lets a coroutine that only spends time skip the heap: inside
+//     RunUntil or RunUntilIdle(), when no live event is due at or before
+//     now()+d (and now()+d is within the loop's deadline), it moves now() to
+//     now()+d and the caller simply continues. The queued path would have
+//     fired exactly that event next, so the order of everything else is the
+//     same. Such a Spend has no heap entry, but total_fired() counts it.
 #ifndef DIPC_SIM_EVENT_QUEUE_H_
 #define DIPC_SIM_EVENT_QUEUE_H_
 
@@ -58,14 +64,29 @@ class EventQueue {
   // Cancels a pending event. Returns false if it already fired or was cancelled.
   bool Cancel(EventId id);
 
+  // Completes a `d`-long wait in place: returns true, with now() advanced by
+  // `d` and the wait counted in total_fired(), when a RunUntil or
+  // RunUntilIdle() loop is running, now()+d is within its deadline and no
+  // live event is due at or before now()+d. Otherwise returns false and the
+  // caller schedules the wait as an event. A tie with a queued event queues,
+  // so the earlier-scheduled event fires first, as its seq says. The caller
+  // must be code that would hand control straight back to the run loop if
+  // it waited, as a simulated thread does (the kernel resumes threads only
+  // from events that end with the resume): anything that ran after the wait
+  // suspended would otherwise run at the later time.
+  bool TryAdvance(Duration d);
+
   // Runs the earliest pending event; returns false if the queue is empty.
+  // It is not a run loop: nothing it fires advances in place.
   bool RunOne();
 
-  // Runs events until the queue drains or `max_events` fire. Returns the count.
+  // Runs events until the queue drains or `max_events` fire. Returns the
+  // count, waits completed in place included. Only the unbounded form
+  // (max_events = UINT64_MAX) is a run loop for TryAdvance.
   uint64_t RunUntilIdle(uint64_t max_events = UINT64_MAX);
 
   // Runs events with firing time <= `deadline`; advances now() to `deadline`
-  // even if the queue drains earlier.
+  // even if the queue drains earlier. Returns the count, as RunUntilIdle.
   uint64_t RunUntil(Time deadline);
 
   bool empty() const { return live_count_ == 0; }
@@ -100,11 +121,21 @@ class EventQueue {
   void Release(uint32_t slot);
   // Pops tombstones; true if the heap top is now a live event.
   bool SkipCancelled();
+  // Pops the (live) heap top and runs its action at its time.
+  void FireTop();
+  // Fires events due at or before `deadline`, with TryAdvance enabled up to
+  // it. Returns the count, waits completed in place included.
+  uint64_t RunLoop(Time deadline);
+
+  // run_deadline_ outside every run loop: earlier than any time, so
+  // TryAdvance never succeeds there.
+  static constexpr Time kNoRunLoop = Time::FromPicos(-1);
 
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNoFreeSlot;
   Time now_;
+  Time run_deadline_ = kNoRunLoop;  // of the innermost running RunLoop
   uint64_t next_seq_ = 1;
   uint64_t live_count_ = 0;
   uint64_t fired_count_ = 0;

@@ -451,6 +451,28 @@ TEST_F(CapStorageTest, PlainWriteDestroysStoredCap) {
   ASSERT_TRUE(pa.has_value());
   codoms_.NotifyPlainWrite(*pa + 8, 4);  // forging attempt
   EXPECT_EQ(codoms_.CapLoad(pt_, ctx_, 0x8000, &cost).code(), ErrorCode::kFault);
+
+  // Caps in slots 0x00, 0x40, 0x60, 0x80 and 0xC0 of the page; 0x20 and
+  // 0xA0 stay empty. A write from the middle of 0x20 to the middle of 0xA0
+  // destroys exactly the three caps between them.
+  for (hw::VirtAddr off : {0x00, 0x40, 0x60, 0x80, 0xC0}) {
+    ASSERT_TRUE(codoms_.CapStore(pt_, ctx_, 0x8000 + off, cap.value(), &cost).ok());
+  }
+  ASSERT_EQ(codoms_.stored_cap_count(), 5u);
+  codoms_.NotifyPlainWrite(*pa + 0x30, 0xA8 - 0x30);
+  EXPECT_EQ(codoms_.stored_cap_count(), 2u);
+  for (hw::VirtAddr off : {0x40, 0x60, 0x80}) {
+    EXPECT_EQ(codoms_.CapLoad(pt_, ctx_, 0x8000 + off, &cost).code(), ErrorCode::kFault) << off;
+  }
+  // A write that ends on the last byte before a slot leaves it alone; one
+  // that touches only a slot's last byte destroys it.
+  codoms_.NotifyPlainWrite(*pa + 0xA0, 0x20);
+  EXPECT_TRUE(codoms_.CapLoad(pt_, ctx_, 0x80C0, &cost).ok());
+  EXPECT_TRUE(codoms_.CapLoad(pt_, ctx_, 0x8000, &cost).ok());
+  codoms_.NotifyPlainWrite(*pa + 0x1F, 1);
+  EXPECT_EQ(codoms_.CapLoad(pt_, ctx_, 0x8000, &cost).code(), ErrorCode::kFault);
+  EXPECT_TRUE(codoms_.CapLoad(pt_, ctx_, 0x80C0, &cost).ok());
+  EXPECT_EQ(codoms_.stored_cap_count(), 1u);
 }
 
 TEST_F(CapStorageTest, LoadFromEmptySlotFaults) {

@@ -371,6 +371,78 @@ TEST(PhysMem, CopyCrossesFrameBoundaries) {
   (void)f2;
 }
 
+TEST(PhysMem, CopyBetweenDifferentPageOffsets) {
+  PhysMem mem;
+  // 9,000 bytes from offset 4000 of one frame into offset 100 of another:
+  // the source crosses two frame boundaries and the destination two others,
+  // at different points.
+  constexpr uint64_t kLen = 9000;
+  const PhysAddr src = (mem.AllocFrame() << kPageShift) + 4000;
+  for (int i = 0; i < 3; ++i) {
+    mem.AllocFrame();
+  }
+  const PhysAddr dst = (mem.AllocFrame() << kPageShift) + 100;
+  std::vector<std::byte> data(kLen);
+  for (uint64_t i = 0; i < kLen; ++i) {
+    data[i] = static_cast<std::byte>((i * 7 + 3) % 251);
+  }
+  mem.Write(src, data);
+  mem.Copy(dst, src, kLen);
+  std::vector<std::byte> out(kLen + 2);
+  mem.Read(dst - 1, out);
+  EXPECT_EQ(out.front(), std::byte{0});
+  EXPECT_EQ(out.back(), std::byte{0});
+  for (uint64_t i = 0; i < kLen; ++i) {
+    ASSERT_EQ(out[i + 1], data[i]) << i;
+  }
+  std::vector<std::byte> src_after(kLen);
+  mem.Read(src, src_after);
+  EXPECT_EQ(src_after, data);
+}
+
+TEST(CacheModel, AddressBeyondEveryFrame) {
+  Machine m(2);
+  for (int i = 0; i < 4; ++i) {
+    m.mem().AllocFrame();
+  }
+  CacheModel& caches = m.caches();
+  const CostModel& costs = m.costs();
+  caches.Access(0, 1 << kPageShift, 64, /*is_write=*/true);
+  const PhysAddr far = (m.mem().frames_allocated() + 5000) << kPageShift;
+  // Never written: clean, however far past the owner table it lies.
+  EXPECT_EQ(caches.Access(1, far, 64, /*is_write=*/false), costs.mem_access);
+  caches.Access(0, far, 64, /*is_write=*/true);
+  EXPECT_EQ(caches.Access(1, far, 64, /*is_write=*/false), costs.remote_transfer);
+  // The pages in between are clean; the first write still belongs to CPU 0.
+  EXPECT_EQ(caches.Access(1, far - kPageSize, 64, /*is_write=*/false), costs.mem_access);
+  EXPECT_EQ(caches.Access(1, 1 << kPageShift, 64, /*is_write=*/false), costs.remote_transfer);
+}
+
+TEST(PageTable, LookupSeesMapsAndUnmapsOfRecentPages) {
+  PageTable pt(1);
+  ASSERT_TRUE(pt.MapPage(0x1000, 7, PageFlags{}, 1).ok());
+  EXPECT_EQ(pt.Translate(0x1008), (7ull << kPageShift) | 0x8);
+  // Mapping other pages keeps a recent page's PTE valid; 0x11000 is 16
+  // pages on, so the two share a memo entry.
+  ASSERT_TRUE(pt.MapPage(0x2000, 8, PageFlags{}, 1).ok());
+  ASSERT_TRUE(pt.MapPage(0x11000, 10, PageFlags{}, 1).ok());
+  EXPECT_EQ(pt.Translate(0x1010), (7ull << kPageShift) | 0x10);
+  ASSERT_TRUE(pt.SetTag(0x1000, 4).ok());
+  EXPECT_EQ(pt.Lookup(0x1000)->tag, 4u);
+  EXPECT_EQ(pt.Translate(0x11000), 10ull << kPageShift);
+  EXPECT_EQ(pt.Lookup(0x1000)->tag, 4u);
+  // Unmapping a page, then remapping it elsewhere, is seen at once, and its
+  // memo neighbour is unaffected.
+  ASSERT_TRUE(pt.UnmapPage(0x1000).ok());
+  EXPECT_EQ(pt.Lookup(0x1000), nullptr);
+  EXPECT_EQ(pt.Translate(0x11000), 10ull << kPageShift);
+  ASSERT_TRUE(pt.UnmapPage(0x11000).ok());
+  EXPECT_EQ(pt.Lookup(0x11000), nullptr);
+  ASSERT_TRUE(pt.MapPage(0x1000, 9, PageFlags{}, 1).ok());
+  EXPECT_EQ(pt.Translate(0x1000), 9ull << kPageShift);
+  EXPECT_EQ(pt.Translate(0x2000), 8ull << kPageShift);
+}
+
 TEST(PageTable, MapTranslateUnmap) {
   PageTable pt(1);
   ASSERT_TRUE(pt.MapPage(0x40000000, 99, PageFlags{.writable = true}, 5).ok());

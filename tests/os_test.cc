@@ -53,6 +53,67 @@ TEST_F(OsTest, SpendAdvancesVirtualTimeAndAccounts) {
   EXPECT_NEAR(b[TimeCat::kKernel].micros(), 1.0, 1e-9);
 }
 
+// Two threads pinned to two CPUs spend interleaved and tied durations and
+// log as they go. Spends that end before anything else is due complete in
+// place; the rest queue. Either way the interleaving, the clock and the
+// event count are those of a run where every Spend queues (bare RunOne()
+// calls never complete one in place).
+TEST(OsSpendTest, PinnedThreadsInterleaveExactlyAsWhenEverySpendQueues) {
+  struct Run {
+    std::vector<std::string> log;
+    uint64_t fired = 0;
+    sim::Time now;
+  };
+  auto run = [](bool queued_only) {
+    hw::Machine machine(2);
+    codoms::Codoms codoms(machine);
+    Kernel kernel(machine, codoms);
+    Process& p = kernel.CreateProcess("p");
+    Run r;
+    std::optional<sim::Time> start;
+    // Both threads start at the same instant, A's first (it was spawned
+    // first). Times are logged in ns since then.
+    auto body = [&r, &start](const char* who, Duration first, Duration second) {
+      return [&r, &start, who, first, second](Env env) -> sim::Task<void> {
+        if (!start.has_value()) {
+          start = env.kernel->now();
+        }
+        auto note = [&] {
+          r.log.push_back(std::string(who) + "@" +
+                          std::to_string((env.kernel->now() - *start).picos() / 1000));
+        };
+        note();
+        co_await env.kernel->Spend(*env.self, first, TimeCat::kUser);
+        note();
+        co_await env.kernel->Spend(*env.self, second, TimeCat::kUser);
+        note();
+      };
+    };
+    kernel.Spawn(p, "A", body("A", Duration::Nanos(100), Duration::Nanos(50)), /*pin_cpu=*/0);
+    kernel.Spawn(p, "B", body("B", Duration::Nanos(50), Duration::Nanos(100)), /*pin_cpu=*/1);
+    if (queued_only) {
+      while (machine.events().RunOne()) {
+      }
+    } else {
+      kernel.Run();
+    }
+    r.fired = machine.events().total_fired();
+    r.now = machine.events().now();
+    return r;
+  };
+  const Run in_place = run(/*queued_only=*/false);
+  const Run queued = run(/*queued_only=*/true);
+  // B's first Spend ends at 50, before A's at 100, and completes in place.
+  // A's second Spend ends at 150, tied with B's second, which was queued
+  // first: B logs first.
+  const std::vector<std::string> expected = {"A@0",  "B@0",   "B@50",
+                                             "A@100", "B@150", "A@150"};
+  EXPECT_EQ(in_place.log, expected);
+  EXPECT_EQ(queued.log, expected);
+  EXPECT_EQ(in_place.fired, queued.fired);
+  EXPECT_EQ(in_place.now, queued.now);
+}
+
 TEST_F(OsTest, JoinWaitsForTarget) {
   Process& p = kernel_.CreateProcess("p");
   double joined_at = -1;

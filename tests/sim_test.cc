@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event engine and coroutine tasks.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -191,6 +192,157 @@ TEST(EventQueue, CancelledResumeDoesNotResume) {
   EXPECT_TRUE(order.empty());
   EXPECT_FALSE(t.done());
   EXPECT_EQ(q.total_fired(), 0u);
+}
+
+// --- Waits completed in place (EventQueue::TryAdvance) ---
+
+// Waits `d` the way Kernel::Spend does: in place when the queue allows it,
+// otherwise through a queued resume. Counts the in-place completions.
+struct SpendOn {
+  EventQueue* q;
+  Duration d;
+  int* in_place;
+  bool await_ready() {
+    const bool advanced = q->TryAdvance(d);
+    *in_place += advanced ? 1 : 0;
+    return advanced;
+  }
+  void await_suspend(std::coroutine_handle<> h) { q->ScheduleResumeAfter(d, h); }
+  void await_resume() {}
+};
+
+// "<who>@<now in ns>", one line per step.
+using Log = std::vector<std::string>;
+void Note(Log* log, const EventQueue& q, const char* who) {
+  log->push_back(std::string(who) + "@" + std::to_string(q.now().picos() / 1000));
+}
+
+// Notes "S", then spends each of `spends` in turn, noting "S" after each.
+Task<void> Spender(EventQueue* q, Log* log, std::vector<Duration> spends, int* in_place) {
+  Note(log, *q, "S");
+  for (Duration d : spends) {
+    co_await SpendOn{q, d, in_place};
+    Note(log, *q, "S");
+  }
+}
+
+struct SpendRun {
+  Log log;
+  uint64_t fired = 0;
+  Time now;
+  int in_place = 0;
+};
+
+// Starts a Spender at t=0 from an event, with one event "E" at `e_at`
+// scheduled before it, and drives the queue with RunUntilIdle() or, when
+// `queued_only`, with bare RunOne() calls.
+SpendRun RunSpenderAgainstEvent(std::vector<Duration> spends, Duration e_at, bool queued_only) {
+  EventQueue q;
+  SpendRun r;
+  q.ScheduleAt(Time::Zero() + e_at, [&] { Note(&r.log, q, "E"); });
+  Task<void> t = Spender(&q, &r.log, std::move(spends), &r.in_place);
+  q.ScheduleAt(Time::Zero(), [&] { t.Start(); });
+  if (queued_only) {
+    while (q.RunOne()) {
+    }
+  } else {
+    q.RunUntilIdle();
+  }
+  EXPECT_TRUE(t.done());
+  r.fired = q.total_fired();
+  r.now = q.now();
+  return r;
+}
+
+TEST(EventQueue, SpendEndingBeforeNextEventCompletesInPlace) {
+  const std::vector<Duration> spends = {Duration::Nanos(30), Duration::Nanos(40)};
+  SpendRun in_place = RunSpenderAgainstEvent(spends, Duration::Nanos(100), /*queued_only=*/false);
+  SpendRun queued = RunSpenderAgainstEvent(spends, Duration::Nanos(100), /*queued_only=*/true);
+  const Log expected = {"S@0", "S@30", "S@70", "E@100"};
+  EXPECT_EQ(in_place.log, expected);
+  EXPECT_EQ(queued.log, expected);
+  EXPECT_EQ(in_place.in_place, 2);
+  EXPECT_EQ(queued.in_place, 0);
+  // The start event, two Spends and E, however the Spends completed.
+  EXPECT_EQ(in_place.fired, 4u);
+  EXPECT_EQ(queued.fired, 4u);
+  EXPECT_EQ(in_place.now, Time::Zero() + Duration::Nanos(100));
+  EXPECT_EQ(queued.now, in_place.now);
+}
+
+TEST(EventQueue, SpendTiedWithQueuedEventQueuesBehindIt) {
+  // The first Spend ends at 30 ns, when E is due: E was scheduled first, so
+  // it fires first and the Spend queues. The second Spend has the queue to
+  // itself.
+  const std::vector<Duration> spends = {Duration::Nanos(30), Duration::Nanos(10)};
+  SpendRun in_place = RunSpenderAgainstEvent(spends, Duration::Nanos(30), /*queued_only=*/false);
+  SpendRun queued = RunSpenderAgainstEvent(spends, Duration::Nanos(30), /*queued_only=*/true);
+  const Log expected = {"S@0", "E@30", "S@30", "S@40"};
+  EXPECT_EQ(in_place.log, expected);
+  EXPECT_EQ(queued.log, expected);
+  EXPECT_EQ(in_place.in_place, 1);
+  EXPECT_EQ(in_place.fired, 4u);
+  EXPECT_EQ(queued.fired, 4u);
+}
+
+TEST(EventQueue, RunUntilNeverAdvancesInPlacePastItsDeadline) {
+  EventQueue q;
+  Log log;
+  int in_place = 0;
+  Task<void> t = Spender(&q, &log, {Duration::Nanos(10), Duration::Nanos(10), Duration::Nanos(10)},
+                         &in_place);
+  q.ScheduleAt(Time::Zero(), [&] { t.Start(); });
+  EXPECT_EQ(q.RunUntil(Time::Zero() + Duration::Nanos(25)), 3u);
+  // The third Spend would end at 30 ns, past the deadline: it is queued.
+  EXPECT_EQ(log, (Log{"S@0", "S@10", "S@20"}));
+  EXPECT_EQ(in_place, 2);
+  EXPECT_EQ(q.now(), Time::Zero() + Duration::Nanos(25));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.RunUntil(Time::Zero() + Duration::Nanos(40)), 1u);
+  EXPECT_EQ(log, (Log{"S@0", "S@10", "S@20", "S@30"}));
+  EXPECT_EQ(q.now(), Time::Zero() + Duration::Nanos(40));
+  EXPECT_EQ(q.total_fired(), 4u);
+  EXPECT_TRUE(t.done());
+}
+
+TEST(EventQueue, CancelledEventDoesNotBlockInPlaceAdvance) {
+  EventQueue q;
+  Log log;
+  int in_place = 0;
+  EventId x = q.ScheduleAt(Time::Zero() + Duration::Nanos(5), [&] { Note(&log, q, "X"); });
+  ASSERT_TRUE(q.Cancel(x));  // its heap entry stays behind as a tombstone
+  Task<void> t = Spender(&q, &log, {Duration::Nanos(10)}, &in_place);
+  q.ScheduleAt(Time::Zero(), [&] { t.Start(); });
+  q.RunUntilIdle();
+  EXPECT_EQ(log, (Log{"S@0", "S@10"}));
+  EXPECT_EQ(in_place, 1);
+  EXPECT_EQ(q.total_fired(), 2u);
+  EXPECT_TRUE(t.done());
+}
+
+TEST(EventQueue, NoInPlaceAdvanceOutsideARunLoop) {
+  EventQueue q;
+  EXPECT_FALSE(q.TryAdvance(Duration::Nanos(1)));
+  EXPECT_EQ(q.now(), Time::Zero());
+  EXPECT_EQ(q.total_fired(), 0u);
+  // Bare RunOne() calls and a bounded RunUntilIdle are not run loops.
+  for (const bool bounded : {false, true}) {
+    Log log;
+    int in_place = 0;
+    Task<void> t = Spender(&q, &log, {Duration::Nanos(10), Duration::Nanos(10)}, &in_place);
+    q.ScheduleAt(q.now(), [&] { t.Start(); });
+    if (bounded) {
+      EXPECT_EQ(q.RunUntilIdle(100), 3u);
+    } else {
+      while (q.RunOne()) {
+      }
+    }
+    EXPECT_EQ(in_place, 0);
+    EXPECT_EQ(log.size(), 3u);
+    EXPECT_TRUE(t.done());
+  }
+  EXPECT_EQ(q.now(), Time::Zero() + Duration::Nanos(40));
+  EXPECT_EQ(q.total_fired(), 6u);
 }
 
 // --- Task / coroutine tests ---
