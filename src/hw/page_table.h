@@ -9,7 +9,6 @@
 #ifndef DIPC_HW_PAGE_TABLE_H_
 #define DIPC_HW_PAGE_TABLE_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -57,25 +56,25 @@ class PageTable {
 
   base::Status UnmapPage(VirtAddr va) {
     const uint64_t page = PageNumber(va);
-    memo_[page % kMemoSize] = MemoEntry{};
+    if (memo_.page == page) {
+      memo_ = MemoEntry{};
+    }
     return ptes_.erase(page) == 1 ? base::Status::Ok() : base::ErrorCode::kNotFound;
   }
 
-  // Found PTEs are memoized direct-mapped by the page number's low bits, so
-  // the pages of a recent multi-page walk are found again without descending
-  // the tree. Map nodes are stable across MapPage; only UnmapPage drops one,
-  // and it clears the page's memo entry.
+  // The last PTE found is memoized, so the page of a recent access is found
+  // again without descending the tree. Map nodes are stable across MapPage;
+  // only UnmapPage drops one, and it clears the memo if it names the page.
   const Pte* Lookup(VirtAddr va) const {
     const uint64_t page = PageNumber(va);
-    MemoEntry& memo = memo_[page % kMemoSize];
-    if (memo.page != page) {
+    if (memo_.page != page) {
       auto it = ptes_.find(page);
       if (it == ptes_.end()) {
         return nullptr;
       }
-      memo = MemoEntry{page, &it->second};
+      memo_ = MemoEntry{page, &it->second};
     }
-    return memo.pte;
+    return memo_.pte;
   }
 
   // Mutable through a non-const table, so the cast is sound.
@@ -111,11 +110,10 @@ class PageTable {
     uint64_t page = UINT64_MAX;  // no page number reaches it
     const Pte* pte = nullptr;
   };
-  static constexpr size_t kMemoSize = 16;
 
   Id id_;
   std::map<uint64_t, Pte> ptes_;  // page number -> PTE, ordered for iteration
-  mutable std::array<MemoEntry, kMemoSize> memo_;
+  mutable MemoEntry memo_;
 };
 
 }  // namespace dipc::hw

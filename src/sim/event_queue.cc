@@ -100,10 +100,30 @@ void EventQueue::FireTop() {
   }
 }
 
+namespace {
+
+// Sets the run-loop deadline for a scope and restores the outer one on the
+// way out, an exception included.
+class DeadlineScope {
+ public:
+  DeadlineScope(Time& deadline, Time inner)
+      : deadline_(deadline), outer_(std::exchange(deadline, inner)) {}
+  DeadlineScope(const DeadlineScope&) = delete;
+  DeadlineScope& operator=(const DeadlineScope&) = delete;
+  ~DeadlineScope() { deadline_ = outer_; }
+
+ private:
+  Time& deadline_;
+  const Time outer_;
+};
+
+}  // namespace
+
 bool EventQueue::RunOne() {
   if (!SkipCancelled()) {
     return false;
   }
+  const DeadlineScope no_loop(run_deadline_, kNoRunLoop);
   FireTop();
   return true;
 }
@@ -123,17 +143,6 @@ bool EventQueue::TryAdvance(Duration d) {
   return true;
 }
 
-uint64_t EventQueue::RunUntilIdle(uint64_t max_events) {
-  if (max_events != UINT64_MAX) {
-    uint64_t n = 0;
-    while (n < max_events && RunOne()) {
-      ++n;
-    }
-    return n;
-  }
-  return RunLoop(Time::Max());
-}
-
 uint64_t EventQueue::RunUntil(Time deadline) {
   const uint64_t n = RunLoop(deadline);
   if (now_ < deadline) {
@@ -144,13 +153,7 @@ uint64_t EventQueue::RunUntil(Time deadline) {
 
 uint64_t EventQueue::RunLoop(Time deadline) {
   const uint64_t fired_before = fired_count_;
-  // Restored on the way out, an exception included, so a bare RunOne()
-  // after this loop never advances in place.
-  struct Restore {
-    Time& deadline;
-    Time outer;
-    ~Restore() { deadline = outer; }
-  } restore{run_deadline_, std::exchange(run_deadline_, deadline)};
+  const DeadlineScope loop(run_deadline_, deadline);
   while (SkipCancelled() && heap_.top().at <= deadline) {
     FireTop();
   }

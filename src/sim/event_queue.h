@@ -17,7 +17,7 @@
 //   - A slot holds either a coroutine handle (ScheduleResume*: resuming it
 //     allocates nothing) or a std::function, never both.
 //   - TryAdvance lets a coroutine that only spends time skip the heap: inside
-//     RunUntil or RunUntilIdle(), when no live event is due at or before
+//     RunUntil or RunUntilIdle, when no live event is due at or before
 //     now()+d (and now()+d is within the loop's deadline), it moves now() to
 //     now()+d and the caller simply continues. The queued path would have
 //     fired exactly that event next, so the order of everything else is the
@@ -65,25 +65,26 @@ class EventQueue {
   bool Cancel(EventId id);
 
   // Completes a `d`-long wait in place: returns true, with now() advanced by
-  // `d` and the wait counted in total_fired(), when a RunUntil or
-  // RunUntilIdle() loop is running, now()+d is within its deadline and no
-  // live event is due at or before now()+d. Otherwise returns false and the
-  // caller schedules the wait as an event. A tie with a queued event queues,
-  // so the earlier-scheduled event fires first, as its seq says. The caller
-  // must be code that would hand control straight back to the run loop if
-  // it waited, as a simulated thread does (the kernel resumes threads only
-  // from events that end with the resume): anything that ran after the wait
-  // suspended would otherwise run at the later time.
+  // `d` and the wait counted in total_fired(), when an event fired directly
+  // by a RunUntil or RunUntilIdle loop is running, now()+d is within the
+  // loop's deadline and no live event is due at or before now()+d. Otherwise
+  // returns false and the caller schedules the wait as an event. A tie with
+  // a queued event queues, so the earlier-scheduled event fires first, as
+  // its seq says. The caller must be code that would hand control straight
+  // back to the run loop if it waited: anything that ran after the wait
+  // suspended would otherwise run at the later time. Its only caller is
+  // os::Kernel::SpendAwaiter, whose threads the kernel resumes only from
+  // events that end with the resume.
   bool TryAdvance(Duration d);
 
   // Runs the earliest pending event; returns false if the queue is empty.
-  // It is not a run loop: nothing it fires advances in place.
+  // It is not a run loop, even when an event of a running loop calls it:
+  // nothing it fires advances in place.
   bool RunOne();
 
-  // Runs events until the queue drains or `max_events` fire. Returns the
-  // count, waits completed in place included. Only the unbounded form
-  // (max_events = UINT64_MAX) is a run loop for TryAdvance.
-  uint64_t RunUntilIdle(uint64_t max_events = UINT64_MAX);
+  // Runs events until the queue drains. Returns the count, waits completed
+  // in place included.
+  uint64_t RunUntilIdle() { return RunLoop(Time::Max()); }
 
   // Runs events with firing time <= `deadline`; advances now() to `deadline`
   // even if the queue drains earlier. Returns the count, as RunUntilIdle.
@@ -127,15 +128,15 @@ class EventQueue {
   // it. Returns the count, waits completed in place included.
   uint64_t RunLoop(Time deadline);
 
-  // run_deadline_ outside every run loop: earlier than any time, so
-  // TryAdvance never succeeds there.
+  // run_deadline_ outside every run loop, and while RunOne fires an event:
+  // earlier than any time, so TryAdvance never succeeds there.
   static constexpr Time kNoRunLoop = Time::FromPicos(-1);
 
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNoFreeSlot;
   Time now_;
-  Time run_deadline_ = kNoRunLoop;  // of the innermost running RunLoop
+  Time run_deadline_ = kNoRunLoop;  // of the loop firing the running event
   uint64_t next_seq_ = 1;
   uint64_t live_count_ = 0;
   uint64_t fired_count_ = 0;

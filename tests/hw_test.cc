@@ -422,8 +422,7 @@ TEST(PageTable, LookupSeesMapsAndUnmapsOfRecentPages) {
   PageTable pt(1);
   ASSERT_TRUE(pt.MapPage(0x1000, 7, PageFlags{}, 1).ok());
   EXPECT_EQ(pt.Translate(0x1008), (7ull << kPageShift) | 0x8);
-  // Mapping other pages keeps a recent page's PTE valid; 0x11000 is 16
-  // pages on, so the two share a memo entry.
+  // Mapping other pages keeps the last page's PTE valid.
   ASSERT_TRUE(pt.MapPage(0x2000, 8, PageFlags{}, 1).ok());
   ASSERT_TRUE(pt.MapPage(0x11000, 10, PageFlags{}, 1).ok());
   EXPECT_EQ(pt.Translate(0x1010), (7ull << kPageShift) | 0x10);
@@ -431,16 +430,18 @@ TEST(PageTable, LookupSeesMapsAndUnmapsOfRecentPages) {
   EXPECT_EQ(pt.Lookup(0x1000)->tag, 4u);
   EXPECT_EQ(pt.Translate(0x11000), 10ull << kPageShift);
   EXPECT_EQ(pt.Lookup(0x1000)->tag, 4u);
-  // Unmapping a page, then remapping it elsewhere, is seen at once, and its
-  // memo neighbour is unaffected.
+  // Unmapping the last page, then remapping it elsewhere, is seen at once;
+  // unmapping another page leaves the last one found.
   ASSERT_TRUE(pt.UnmapPage(0x1000).ok());
   EXPECT_EQ(pt.Lookup(0x1000), nullptr);
   EXPECT_EQ(pt.Translate(0x11000), 10ull << kPageShift);
+  ASSERT_TRUE(pt.UnmapPage(0x2000).ok());
+  EXPECT_EQ(pt.Translate(0x11000), 10ull << kPageShift);
+  EXPECT_EQ(pt.Lookup(0x2000), nullptr);
   ASSERT_TRUE(pt.UnmapPage(0x11000).ok());
   EXPECT_EQ(pt.Lookup(0x11000), nullptr);
   ASSERT_TRUE(pt.MapPage(0x1000, 9, PageFlags{}, 1).ok());
   EXPECT_EQ(pt.Translate(0x1000), 9ull << kPageShift);
-  EXPECT_EQ(pt.Translate(0x2000), 8ull << kPageShift);
 }
 
 TEST(PageTable, MapTranslateUnmap) {

@@ -325,24 +325,34 @@ TEST(EventQueue, NoInPlaceAdvanceOutsideARunLoop) {
   EXPECT_FALSE(q.TryAdvance(Duration::Nanos(1)));
   EXPECT_EQ(q.now(), Time::Zero());
   EXPECT_EQ(q.total_fired(), 0u);
-  // Bare RunOne() calls and a bounded RunUntilIdle are not run loops.
-  for (const bool bounded : {false, true}) {
-    Log log;
-    int in_place = 0;
-    Task<void> t = Spender(&q, &log, {Duration::Nanos(10), Duration::Nanos(10)}, &in_place);
-    q.ScheduleAt(q.now(), [&] { t.Start(); });
-    if (bounded) {
-      EXPECT_EQ(q.RunUntilIdle(100), 3u);
-    } else {
-      while (q.RunOne()) {
-      }
-    }
-    EXPECT_EQ(in_place, 0);
-    EXPECT_EQ(log.size(), 3u);
-    EXPECT_TRUE(t.done());
+  // Bare RunOne() calls are not a run loop.
+  Log log;
+  int in_place = 0;
+  Task<void> t = Spender(&q, &log, {Duration::Nanos(10), Duration::Nanos(10)}, &in_place);
+  q.ScheduleAt(q.now(), [&] { t.Start(); });
+  while (q.RunOne()) {
   }
-  EXPECT_EQ(q.now(), Time::Zero() + Duration::Nanos(40));
-  EXPECT_EQ(q.total_fired(), 6u);
+  EXPECT_EQ(log, (Log{"S@0", "S@10", "S@20"}));
+  EXPECT_EQ(in_place, 0);
+  EXPECT_TRUE(t.done());
+  EXPECT_EQ(q.total_fired(), 3u);
+}
+
+TEST(EventQueue, RunOneInsideARunLoopDoesNotAdvanceInPlace) {
+  EventQueue q;
+  Log log;
+  int in_place = 0;
+  Task<void> t = Spender(&q, &log, {Duration::Nanos(10), Duration::Nanos(10)}, &in_place);
+  // An event of the loop fires the Spender's start through RunOne(): its
+  // first Spend queues. The loop itself fires the resume, so the second
+  // Spend completes in place.
+  q.ScheduleAt(Time::Zero(), [&] { EXPECT_TRUE(q.RunOne()); });
+  q.ScheduleAt(Time::Zero(), [&] { t.Start(); });
+  EXPECT_EQ(q.RunUntilIdle(), 4u);
+  EXPECT_EQ(log, (Log{"S@0", "S@10", "S@20"}));
+  EXPECT_EQ(in_place, 1);
+  EXPECT_TRUE(t.done());
+  EXPECT_EQ(q.now(), Time::Zero() + Duration::Nanos(20));
 }
 
 // --- Task / coroutine tests ---
