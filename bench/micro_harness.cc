@@ -7,8 +7,7 @@
 #include <memory>
 
 #include "chan/channel.h"
-#include "chan/fanin.h"
-#include "chan/fanout.h"
+#include "chan/plane.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "dipc/proxy.h"
@@ -561,11 +560,12 @@ double MeasureFanOutStream(const FanOutStreamConfig& config) {
   for (uint32_t r = 0; r < n_recv; ++r) {
     recv_procs.push_back(&dipc.CreateDipcProcess("worker"));
   }
-  chan::FanOutConfig cc{.slots = std::max<uint32_t>(8, static_cast<uint32_t>(2 * batch)),
-                        .buf_bytes = std::max<uint64_t>(config.payload_bytes, 64)};
-  auto ch = chan::FanOutChannel::Create(dipc, prod, recv_procs, cc);
+  chan::PlaneConfig cc{.slots = std::max<uint32_t>(8, static_cast<uint32_t>(2 * batch)),
+                       .buf_bytes = std::max<uint64_t>(config.payload_bytes, 64)};
+  os::Process* prods[] = {&prod};
+  auto ch = chan::Plane::Create(dipc, chan::Gate::kDelivery, prods, recv_procs, cc);
   DIPC_CHECK(ch.ok());
-  std::shared_ptr<chan::FanOutChannel> fan = ch.value();
+  std::shared_ptr<chan::Plane> fan = ch.value();
   const int warmup = static_cast<int>(cc.slots) + batch;
   const int total = config.messages + warmup;
   sim::Time t0, t_end;
@@ -603,7 +603,7 @@ double MeasureFanOutStream(const FanOutStreamConfig& config) {
             t0 = env.kernel->now();
           }
           uint32_t want = static_cast<uint32_t>(std::min(batch, total - sent));
-          auto bufs = co_await fan->AcquireBufBatch(env, want);
+          auto bufs = co_await fan->AcquireBufBatch(env, 0, want);
           DIPC_CHECK(bufs.ok());
           std::vector<chan::SendItem> items;
           items.reserve(bufs.value().size());
@@ -612,15 +612,10 @@ double MeasureFanOutStream(const FanOutStreamConfig& config) {
             (void)co_await k.TouchUser(env, b.va, config.payload_bytes, hw::AccessType::kWrite);
             items.push_back(chan::SendItem{b, config.payload_bytes});
           }
-          base::Status sent_s = base::ErrorCode::kFault;
-          if (config.shard) {
-            uint32_t shard = fan->NextShard();
-            DIPC_CHECK(shard < fan->receiver_count());
-            sent_s = co_await fan->SendToBatch(env, items, shard);
-          } else {
-            sent_s = co_await fan->SendBatch(env, items);
-          }
-          DIPC_CHECK(sent_s.ok());
+          // Sharded: one receiver per batch; otherwise broadcast to all.
+          const uint32_t target = config.shard ? fan->NextShard() : fan->rx_count();
+          DIPC_CHECK(!config.shard || target < fan->rx_count());
+          DIPC_CHECK((co_await fan->SendBatch(env, 0, items, target)).ok());
           sent += static_cast<int>(items.size());
         }
         fan->Close();
@@ -645,12 +640,13 @@ double MeasureFanInStream(const FanInStreamConfig& config) {
     prod_procs.push_back(&dipc.CreateDipcProcess("client"));
   }
   os::Process& cons = dipc.CreateDipcProcess("server");
-  chan::FanInConfig cc{
+  chan::PlaneConfig cc{
       .slots = std::max<uint32_t>(8, static_cast<uint32_t>(2 * batch) * n_prod),
       .buf_bytes = std::max<uint64_t>(config.payload_bytes, 64)};
-  auto ch = chan::FanInChannel::Create(dipc, prod_procs, cons, cc);
+  os::Process* conss[] = {&cons};
+  auto ch = chan::Plane::Create(dipc, chan::Gate::kAdmission, prod_procs, conss, cc);
   DIPC_CHECK(ch.ok());
-  std::shared_ptr<chan::FanInChannel> fan = ch.value();
+  std::shared_ptr<chan::Plane> fan = ch.value();
   const int warmup = static_cast<int>(cc.slots) + batch * static_cast<int>(n_prod);
   const int per_prod =
       (config.messages + warmup + static_cast<int>(n_prod) - 1) / static_cast<int>(n_prod);
@@ -662,15 +658,15 @@ double MeasureFanInStream(const FanInStreamConfig& config) {
       [&, fan](os::Env env) -> sim::Task<void> {
         os::Kernel& k = *env.kernel;
         while (true) {
-          auto msgs = co_await fan->RecvBatch(env, static_cast<uint32_t>(batch));
+          auto msgs = co_await fan->RecvBatch(env, 0, static_cast<uint32_t>(batch));
           if (!msgs.ok()) {
             co_return;  // kBrokenChannel after the drain
           }
           for (const chan::Msg& m : msgs.value()) {
-            fan->BindRecvCap(*env.self, m);
+            fan->BindRecvCap(*env.self, 0, m);
             (void)co_await k.TouchUser(env, m.va, m.len, hw::AccessType::kRead);
           }
-          DIPC_CHECK((co_await fan->ReleaseBatch(env, msgs.value())).ok());
+          DIPC_CHECK((co_await fan->ReleaseBatch(env, 0, msgs.value())).ok());
           received += static_cast<int>(msgs.value().size());
           if (received <= warmup) {
             t0 = env.kernel->now();
@@ -698,7 +694,7 @@ double MeasureFanInStream(const FanInStreamConfig& config) {
                                          hw::AccessType::kWrite);
               items.push_back(chan::SendItem{b, config.payload_bytes});
             }
-            DIPC_CHECK((co_await fan->SendBatch(env, p, items)).ok());
+            DIPC_CHECK((co_await fan->SendBatch(env, p, items, 0)).ok());
             sent += static_cast<int>(items.size());
           }
           if (++producers_done == static_cast<int>(n_prod)) {

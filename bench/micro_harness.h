@@ -70,8 +70,8 @@ struct ChanStreamConfig {
 };
 double MeasureChannelStream(const ChanStreamConfig& config);
 
-// Fan-out streaming (src/chan/fanout.h): one producer publishes `messages`
-// payloads to `receivers` receivers through a FanOutChannel — per-receiver
+// Fan-out streaming (src/chan/plane.h, Gate::kDelivery): one producer
+// publishes `messages` payloads to `receivers` receivers — per-receiver
 // epoch-cached read grants, credit-based flow control — either broadcast
 // (every receiver gets every message) or round-robin sharded (each message
 // to one receiver, the OLTP request-distribution shape). Receivers run on
@@ -86,9 +86,9 @@ struct FanOutStreamConfig {
 };
 double MeasureFanOutStream(const FanOutStreamConfig& config);
 
-// Fan-in streaming (src/chan/fanin.h): `producers` producer domains each
-// publish their share of `messages` payloads into one consumer through a
-// FanInChannel — per-producer epoch-cached write grants, per-producer
+// Fan-in streaming (src/chan/plane.h, Gate::kAdmission): `producers`
+// producer domains each publish their share of `messages` payloads into one
+// consumer — per-producer epoch-cached write grants, per-producer
 // credit lines, one shared descriptor FIFO. Producers run on their own
 // CPUs. Returns the steady-state wall time in ns per *delivered* message,
 // i.e. what one admission into the shared consumer costs end to end.

@@ -48,60 +48,60 @@ using DriverOp = std::function<sim::Task<uint64_t>(os::Env, uint64_t opcode, uin
 // Request/response header crossing the zero-copy channels: opcode + size.
 constexpr uint64_t kChanHdrBytes = 16;
 
-// One synchronous verb over a duplex endpoint: the request is written into
-// an owned buffer whose ownership moves to the driver on the forward ring
-// (no copies), the completion comes back on the paired reverse ring.
-sim::Task<base::Status> ChanVerbCall(os::Env env, chan::DuplexEndpoint& ep, uint64_t opcode,
-                                     uint64_t bytes) {
+// One synchronous verb: the request is written into an owned buffer whose
+// ownership moves to the driver on the request channel `req` (no copies),
+// the completion comes back on the paired channel `cq`.
+sim::Task<base::Status> ChanVerbCall(os::Env env, chan::Channel& req, chan::Channel& cq,
+                                     uint64_t opcode, uint64_t bytes) {
   os::Kernel& k = *env.kernel;
-  auto buf = co_await ep.AcquireBuf(env);
+  auto buf = co_await req.AcquireBuf(env);
   if (!buf.ok()) {
     co_return buf.code();
   }
   uint64_t hdr[2] = {opcode, bytes};
   DIPC_CHECK(k.UserWrite(*env.self, buf.value().va, std::as_bytes(std::span(hdr))).ok());
-  auto sent = co_await ep.Send(env, buf.value(), kChanHdrBytes);
+  auto sent = co_await req.Send(env, buf.value(), kChanHdrBytes);
   if (!sent.ok()) {
     co_return sent;
   }
-  auto ack = co_await ep.Recv(env);
+  auto ack = co_await cq.Recv(env);
   if (!ack.ok()) {
     co_return ack.code();
   }
-  co_return co_await ep.Release(env, ack.value());
+  co_return co_await cq.Release(env, ack.value());
 }
 
 // Streaming round for the kChannel variant: `burst` post_send requests are
 // published with one batched descriptor push (one queue op, one wake) and
-// acknowledged with one batched completion on the reverse ring — the
-// doorbell-batching cure for per-request software overhead.
-sim::Task<base::Status> ChanBurstRound(os::Env env, chan::DuplexEndpoint& ep, int burst,
-                                       uint64_t bytes) {
+// acknowledged with one batched completion on `cq` — the doorbell-batching
+// cure for per-request software overhead.
+sim::Task<base::Status> ChanBurstRound(os::Env env, chan::Channel& req, chan::Channel& cq,
+                                       int burst, uint64_t bytes) {
   os::Kernel& k = *env.kernel;
-  auto bufs = co_await ep.AcquireBufBatch(env, static_cast<uint32_t>(burst));
+  auto bufs = co_await req.AcquireBufBatch(env, static_cast<uint32_t>(burst));
   if (!bufs.ok()) {
     co_return bufs.code();
   }
   std::vector<chan::SendItem> items;
   items.reserve(bufs.value().size());
   for (const chan::SendBuf& b : bufs.value()) {
-    ep.BindSendCap(*env.self, b);
+    req.BindSendCap(*env.self, b);
     uint64_t hdr[2] = {kOpPostSend, bytes};
     DIPC_CHECK(k.UserWrite(*env.self, b.va, std::as_bytes(std::span(hdr))).ok());
     items.push_back(chan::SendItem{b, kChanHdrBytes});
   }
-  auto sent = co_await ep.SendBatch(env, items);
+  auto sent = co_await req.SendBatch(env, items);
   if (!sent.ok()) {
     co_return sent;
   }
   size_t acked = 0;
   while (acked < items.size()) {
-    auto acks = co_await ep.RecvBatch(env, static_cast<uint32_t>(items.size() - acked));
+    auto acks = co_await cq.RecvBatch(env, static_cast<uint32_t>(items.size() - acked));
     if (!acks.ok()) {
       co_return acks.code();
     }
     acked += acks.value().size();
-    auto released = co_await ep.ReleaseBatch(env, acks.value());
+    auto released = co_await cq.ReleaseBatch(env, acks.value());
     if (!released.ok()) {
       co_return released;
     }
@@ -234,42 +234,46 @@ NetpipeResult RunNetpipe(const NetpipeConfig& config) {
     }
 
     case DriverIsolation::kChannel: {
-      // Driver service thread behind a *duplex* zero-copy channel: requests
-      // move by capability grant on the forward ring (no copies, registered
-      // payload memory stays shared), completions stream back on the paired
-      // reverse ring, signalling is wake-suppressed futex, and bursts >1 use
-      // the batched descriptor publication.
+      // Driver service thread behind a pair of zero-copy channels: requests
+      // move by capability grant on the app->driver channel (no copies,
+      // registered payload memory stays shared), completions stream back on
+      // the driver->app one, signalling is wake-suppressed futex, and bursts
+      // >1 use the batched descriptor publication. Both directions express
+      // one trust relationship, so they share one domain-tag trio.
       os::Process& app = dipc.CreateDipcProcess("app");
       os::Process& drv = dipc.CreateDipcProcess("ibdriver");
       const int burst = std::max(1, config.burst);
       chan::ChannelConfig cc{.slots = std::max(4u, static_cast<uint32_t>(2 * burst)),
-                             .buf_bytes = 64};
-      auto dx = chan::DuplexChannel::Create(dipc, app, drv, cc);
-      DIPC_CHECK(dx.ok());
-      std::shared_ptr<chan::DuplexEndpoint> app_end = dx.value()->a_end();
-      std::shared_ptr<chan::DuplexEndpoint> drv_end = dx.value()->b_end();
+                             .buf_bytes = 64,
+                             .tags = chan::TagTrio::Allocate(codoms.apl_table())};
+      auto req_r = chan::Channel::Create(dipc, app, drv, cc);
+      DIPC_CHECK(req_r.ok());
+      auto cq_r = chan::Channel::Create(dipc, drv, app, cc);
+      DIPC_CHECK(cq_r.ok());
+      std::shared_ptr<chan::Channel> req = req_r.value();
+      std::shared_ptr<chan::Channel> cq = cq_r.value();
       // Driver: drain request batches, run the verbs, acknowledge with one
       // batched completion publish per drained batch.
       kernel.Spawn(
           drv, "drv-svc",
-          [&, drv_end](os::Env env) -> sim::Task<void> {
+          [&, req, cq](os::Env env) -> sim::Task<void> {
             os::Kernel& k = *env.kernel;
             while (true) {
-              auto msgs = co_await drv_end->RecvBatch(env, drv_end->in().config().slots);
+              auto msgs = co_await req->RecvBatch(env, req->config().slots);
               if (!msgs.ok()) {
                 co_return;
               }
               for (const chan::Msg& m : msgs.value()) {
-                drv_end->BindRecvCap(*env.self, m);
+                req->BindRecvCap(*env.self, m);
                 uint64_t hdr[2] = {0, 0};
                 DIPC_CHECK(
                     k.UserRead(*env.self, m.va, std::as_writable_bytes(std::span(hdr))).ok());
                 (void)co_await DriverWork(env, hdr[0], hdr[1], TimeCat::kUser);
               }
-              if (!(co_await drv_end->ReleaseBatch(env, msgs.value())).ok()) {
+              if (!(co_await req->ReleaseBatch(env, msgs.value())).ok()) {
                 co_return;
               }
-              auto acks = co_await drv_end->AcquireBufBatch(
+              auto acks = co_await cq->AcquireBufBatch(
                   env, static_cast<uint32_t>(msgs.value().size()));
               if (!acks.ok()) {
                 co_return;
@@ -277,12 +281,12 @@ NetpipeResult RunNetpipe(const NetpipeConfig& config) {
               std::vector<chan::SendItem> items;
               items.reserve(acks.value().size());
               for (const chan::SendBuf& b : acks.value()) {
-                drv_end->BindSendCap(*env.self, b);
+                cq->BindSendCap(*env.self, b);
                 uint64_t hdr[2] = {0, 0};  // completion record
                 DIPC_CHECK(k.UserWrite(*env.self, b.va, std::as_bytes(std::span(hdr))).ok());
                 items.push_back(chan::SendItem{b, kChanHdrBytes});
               }
-              if (!(co_await drv_end->SendBatch(env, items)).ok()) {
+              if (!(co_await cq->SendBatch(env, items)).ok()) {
                 co_return;
               }
             }
@@ -290,26 +294,26 @@ NetpipeResult RunNetpipe(const NetpipeConfig& config) {
           /*pin_cpu=*/0);
       kernel.Spawn(
           app, "netpipe",
-          [&, app_end, burst](os::Env env) -> sim::Task<void> {
+          [&, req, cq, burst](os::Env env) -> sim::Task<void> {
             if (burst == 1) {
-              DriverOp op = [app_end](os::Env e, uint64_t opcode,
-                                      uint64_t n) -> sim::Task<uint64_t> {
-                DIPC_CHECK((co_await ChanVerbCall(e, *app_end, opcode, n)).ok());
+              DriverOp op = [req, cq](os::Env e, uint64_t opcode,
+                                     uint64_t n) -> sim::Task<uint64_t> {
+                DIPC_CHECK((co_await ChanVerbCall(e, *req, *cq, opcode, n)).ok());
                 co_return 0;
               };
               co_await PingPong(env, op, config.rounds, bytes, &round_us);
-              app_end->Close();
+              req->Close();
               co_return;
             }
             // Streaming: measure per-burst rounds and report the per-request
             // equivalent so burst sweeps stay comparable to burst == 1.
-            (void)co_await ChanBurstRound(env, *app_end, burst, bytes);  // warmup
+            (void)co_await ChanBurstRound(env, *req, *cq, burst, bytes);  // warmup
             sim::Time t0 = env.kernel->now();
             for (int i = 0; i < config.rounds; ++i) {
-              DIPC_CHECK((co_await ChanBurstRound(env, *app_end, burst, bytes)).ok());
+              DIPC_CHECK((co_await ChanBurstRound(env, *req, *cq, burst, bytes)).ok());
             }
             round_us = (env.kernel->now() - t0).micros() / config.rounds / burst;
-            app_end->Close();
+            req->Close();
           },
           /*pin_cpu=*/0);
       break;

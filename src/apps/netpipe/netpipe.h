@@ -14,10 +14,10 @@
 //   kSemaphore   — driver service thread in another process, shared-memory
 //                  requests, futex signalling (no payload copies).
 //   kPipe        — same, but requests and payloads cross a pipe (copies).
-//   kChannel     — same, but requests cross a zero-copy *duplex* capability
-//                  channel (src/chan/ DuplexChannel: paired forward/reverse
-//                  rings, one endpoint per side): ownership grants instead
-//                  of copies, completions on the reverse ring,
+//   kChannel     — same, but requests cross a zero-copy capability channel
+//                  (src/chan/ Channel) and completions come back on a second
+//                  one in the reverse direction, sharing one domain-tag
+//                  trio: ownership grants instead of copies,
 //                  wake-suppressed futex signalling, and — when `burst` > 1
 //                  — batched descriptor publication (SendBatch/RecvBatch)
 //                  amortizing the per-request software toll.

@@ -33,6 +33,9 @@ class Disk {
  private:
   os::Kernel& kernel_;
   bool busy_ = false;
+  // Requests queued behind the one in service. A raw WaitQueue, not an
+  // os::Futex: it models the block layer's request queue, a kernel-internal
+  // wait inside the DB tier's I/O call with no user-level word.
   os::WaitQueue waiters_;
   uint64_t total_accesses_ = 0;
 };

@@ -8,7 +8,6 @@
 
 #include "apps/oltp/disk.h"
 #include "chan/channel.h"
-#include "chan/fanout.h"
 #include "fabric/fabric.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
@@ -164,16 +163,15 @@ sim::Task<base::Status> SockCall(os::Env env, os::UnixStreamEnd& sock, hw::VirtA
 
 // ---- Channel-mode plumbing ----
 
-// Fixed-size request/response over a duplex channel. The request is
-// produced directly into the owned buffer and consumed in place on the
-// other side — zero copies and zero (de)marshalling glue, unlike SockCall:
-// the protocol overhead left is purely the channel fast path plus the
-// thread switches.
-sim::Task<base::Status> DuplexCall(os::Env env, chan::DuplexEndpoint& ep, uint64_t req_bytes,
-                                   uint64_t resp_bytes) {
-  (void)resp_bytes;  // the reply length rides in its descriptor
+// Fixed-size request/response over a pair of channels: the request goes out
+// on `req`, the reply comes back on `resp`. The request is produced directly
+// into the owned buffer and consumed in place on the other side — zero
+// copies and zero (de)marshalling glue, unlike SockCall: the protocol
+// overhead left is purely the channel fast path plus the thread switches.
+sim::Task<base::Status> ChanCall(os::Env env, chan::Channel& req, chan::Channel& resp,
+                                 uint64_t req_bytes) {
   os::Kernel& k = *env.kernel;
-  auto buf = co_await ep.AcquireBuf(env);
+  auto buf = co_await req.AcquireBuf(env);
   if (!buf.ok()) {
     co_return buf.code();
   }
@@ -181,47 +179,46 @@ sim::Task<base::Status> DuplexCall(os::Env env, chan::DuplexEndpoint& ep, uint64
   if (!produced.ok()) {
     // The fill failed (caller being torn down): hand the slot back instead
     // of leaking it — a leaked slot eventually wedges every producer.
-    (void)co_await ep.Abandon(env, buf.value());
+    (void)co_await req.Abandon(env, buf.value());
     co_return produced;
   }
-  auto sent = co_await ep.Send(env, buf.value(), req_bytes);
+  auto sent = co_await req.Send(env, buf.value(), req_bytes);
   if (!sent.ok()) {
     co_return sent;
   }
-  auto reply = co_await ep.Recv(env);
+  auto reply = co_await resp.Recv(env);
   if (!reply.ok()) {
     co_return reply.code();
   }
   auto consumed =
       co_await k.TouchUser(env, reply.value().va, reply.value().len, hw::AccessType::kRead);
   (void)consumed;  // a dead peer surfaces through Release below
-  co_return co_await ep.Release(env, reply.value());
+  co_return co_await resp.Release(env, reply.value());
 }
 
-// Duplex service loop: receive requests on the inbound ring, run `handler`,
-// respond on the outbound one — the zero-copy analogue of ServiceLoop (no
-// glue charges: nothing is marshalled, demultiplexing is the descriptor pop
-// itself).
-sim::Task<void> DuplexServiceLoop(os::Env env, Ctx& ctx, std::shared_ptr<chan::DuplexEndpoint> ep,
-                                  uint64_t resp_bytes,
-                                  std::function<sim::Task<uint64_t>(os::Env)> handler) {
+// Channel service loop: receive requests on `req`, run `handler`, respond
+// on `resp` — the zero-copy analogue of ServiceLoop (no glue charges:
+// nothing is marshalled, demultiplexing is the descriptor pop itself).
+sim::Task<void> ChanServiceLoop(os::Env env, Ctx& ctx, std::shared_ptr<chan::Channel> req,
+                                std::shared_ptr<chan::Channel> resp, uint64_t resp_bytes,
+                                std::function<sim::Task<uint64_t>(os::Env)> handler) {
   os::Kernel& k = *env.kernel;
   while (!ctx.stopped) {
-    auto msg = co_await ep->Recv(env);
+    auto msg = co_await req->Recv(env);
     if (!msg.ok()) {
       co_return;
     }
     (void)co_await k.TouchUser(env, msg.value().va, msg.value().len, hw::AccessType::kRead);
     (void)co_await handler(env);
-    if (!(co_await ep->Release(env, msg.value())).ok()) {
+    if (!(co_await req->Release(env, msg.value())).ok()) {
       co_return;
     }
-    auto buf = co_await ep->AcquireBuf(env);
+    auto buf = co_await resp->AcquireBuf(env);
     if (!buf.ok()) {
       co_return;
     }
     (void)co_await k.TouchUser(env, buf.value().va, resp_bytes, hw::AccessType::kWrite);
-    if (!(co_await ep->Send(env, buf.value(), resp_bytes)).ok()) {
+    if (!(co_await resp->Send(env, buf.value(), resp_bytes)).ok()) {
       co_return;
     }
   }
@@ -385,7 +382,7 @@ OltpResult RunOltp(const OltpConfig& config) {
       // backpressure) and get completions back over per-tenant fan-in
       // response planes, matched to the blocked web worker by operation id
       // inside fabric::Call. Each PHP worker drives its own DB peer thread
-      // over a duplex channel. Versus kLinuxIpc this removes both the
+      // over a request channel and a reply channel. Versus kLinuxIpc this removes both the
       // copies+glue AND most of the false concurrency: the worker tier runs
       // chan_workers serve threads per tenant instead of one per web worker.
       const int W = std::max(1, config.chan_workers);
@@ -401,17 +398,11 @@ OltpResult RunOltp(const OltpConfig& config) {
       for (int r = 0; r < W; ++r) {
         workers->push_back(&dipc.CreateDipcProcess("php-worker"));
       }
-      codoms::AplTable& apl = codoms.apl_table();
       // Shared domain-tag trio on the php<->db hop (identical trust
-      // relationship across workers), so the per-CPU APL cache stays warm.
-      // The web<->php planes get theirs from the fabric (shared_trios).
-      struct Trio {
-        hw::DomainTag ctrl, data, rt;
-      };
-      auto make_trio = [&apl] {
-        return Trio{apl.AllocateTag(), apl.AllocateTag(), apl.AllocateTag()};
-      };
-      const Trio php_db_t = make_trio();
+      // relationship across workers and both directions), so the per-CPU
+      // APL cache stays warm. The web<->php planes get theirs from the
+      // fabric (shared_trios).
+      const chan::TagTrio php_db_tags = chan::TagTrio::Allocate(codoms.apl_table());
 
       // Per-tenant request-plane credits size to that tenant's closed-loop
       // population so admission never throttles below the worker tier's own
@@ -432,37 +423,34 @@ OltpResult RunOltp(const OltpConfig& config) {
       std::shared_ptr<fabric::ServiceFabric> fab = fab_r.value();
       fab->StartAllDispatchers();
 
-      // Wires one PHP worker slot: its duplex to a fresh DB service thread
-      // and one fabric serve loop per tenant plane. Shared so the supervisor
-      // can re-run it against a respawned process after RebindWorker — the
-      // dead incarnation's duplex failed with it, so every piece is created
-      // anew (the fabric planes themselves survive via epoch rebind).
+      // Wires one PHP worker slot: its channels to a fresh DB service
+      // thread and one fabric serve loop per tenant plane. Shared so the
+      // supervisor can re-run it against a respawned process after
+      // RebindWorker — the dead incarnation's channels failed with it, so
+      // every piece is created anew (the fabric planes themselves survive
+      // via epoch rebind).
       auto start_worker = std::make_shared<std::function<void(uint32_t, os::Process&)>>();
-      *start_worker = [&ctx, &dipc, &kernel, fab, php_db_t, T, &db](uint32_t r,
-                                                                    os::Process& php) {
-        // PHP worker <-> its DB peer: a duplex channel (requests forward,
-        // replies on the paired reverse ring).
-        auto dx = chan::DuplexChannel::Create(dipc, php, db,
-                                              {.slots = 4,
-                                               .buf_bytes = kDbReqBytes,
-                                               .ctrl_tag = php_db_t.ctrl,
-                                               .data_tag = php_db_t.data,
-                                               .rt_tag = php_db_t.rt},
-                                              chan::ChannelConfig{.slots = 4,
-                                                                  .buf_bytes = kDbRespBytes});
-        DIPC_CHECK(dx.ok());
-        std::shared_ptr<chan::DuplexEndpoint> php_db_end = dx.value()->a_end();
-        std::shared_ptr<chan::DuplexEndpoint> db_end = dx.value()->b_end();
+      *start_worker = [&ctx, &dipc, &kernel, fab, php_db_tags, T, &db](uint32_t r,
+                                                                       os::Process& php) {
+        // PHP worker <-> its DB peer: requests on one channel, replies on
+        // another in the reverse direction, both on the shared trio.
+        auto to_db = chan::Channel::Create(
+            dipc, php, db, {.slots = 4, .buf_bytes = kDbReqBytes, .tags = php_db_tags});
+        DIPC_CHECK(to_db.ok());
+        auto from_db = chan::Channel::Create(
+            dipc, db, php, {.slots = 4, .buf_bytes = kDbRespBytes, .tags = php_db_tags});
+        DIPC_CHECK(from_db.ok());
+        std::shared_ptr<chan::Channel> db_req = to_db.value();
+        std::shared_ptr<chan::Channel> db_resp = from_db.value();
 
-        kernel.Spawn(db, "db-svc", [&ctx, db_end](os::Env env) -> sim::Task<void> {
-          co_await DuplexServiceLoop(env, ctx, db_end, kDbRespBytes,
-                                     [&ctx](os::Env e) -> sim::Task<uint64_t> {
-                                       co_return co_await DbInteraction(e, ctx, 0);
-                                     });
+        kernel.Spawn(db, "db-svc", [&ctx, db_req, db_resp](os::Env env) -> sim::Task<void> {
+          co_await ChanServiceLoop(env, ctx, db_req, db_resp, kDbRespBytes,
+                                   [&ctx](os::Env e) -> sim::Task<uint64_t> {
+                                     co_return co_await DbInteraction(e, ctx, 0);
+                                   });
         });
-        Edge db_edge = [&ctx, php_db_end](os::Env e, uint64_t v) -> sim::Task<uint64_t> {
-          auto s = co_await DuplexCall(e, *php_db_end, kDbReqBytes, kDbRespBytes);
-          (void)s;
+        Edge db_edge = [db_req, db_resp](os::Env e, uint64_t v) -> sim::Task<uint64_t> {
+          (void)co_await ChanCall(e, *db_req, *db_resp, kDbReqBytes);
           co_return v + 1;
         };
         fabric::ServiceFabric::Handler handler =

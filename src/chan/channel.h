@@ -31,10 +31,10 @@ namespace dipc::chan {
 struct ChannelConfig {
   uint32_t slots = 8;            // in-flight message buffers
   uint64_t buf_bytes = 1 << 16;  // payload capacity per buffer
-  // Optional shared domain-tag trio (see PlaneConfig).
-  hw::DomainTag ctrl_tag = hw::kInvalidDomainTag;
-  hw::DomainTag data_tag = hw::kInvalidDomainTag;
-  hw::DomainTag rt_tag = hw::kInvalidDomainTag;
+  // Optional shared domain-tag trio (see PlaneConfig). Two channels in
+  // opposite directions between the same peers (requests one way,
+  // completions the other) express one trust relationship and share one.
+  std::optional<TagTrio> tags = std::nullopt;
 };
 
 class Channel {
@@ -54,14 +54,14 @@ class Channel {
   // Blocks until a free buffer is available and grants the calling thread a
   // write capability for it (epoch rebind on the warm path).
   sim::Task<base::Result<SendBuf>> AcquireBuf(os::Env env, os::Deadline deadline = {}) {
-    return plane_.AcquireOne(env, 0, deadline);
+    return plane_->AcquireBuf(env, 0, deadline);
   }
   // Blocks for the first free buffer, then takes up to `max_n` without
   // blocking again. The *last* buffer's write capability is loaded into
   // kSenderCapReg; BindSendCap switches between the batch's buffers.
   sim::Task<base::Result<std::vector<SendBuf>>> AcquireBufBatch(os::Env env, uint32_t max_n,
                                                                 os::Deadline deadline = {}) {
-    return plane_.Acquire(env, 0, max_n, deadline);
+    return plane_->AcquireBufBatch(env, 0, max_n, deadline);
   }
 
   // Publishes `len` bytes of `buf`: revokes the sender's capability
@@ -69,29 +69,29 @@ class Channel {
   // one. O(1) in `len`. Batched: all-or-nothing up to the publish.
   sim::Task<base::Status> Send(os::Env env, const SendBuf& buf, uint64_t len,
                                os::Deadline deadline = {}) {
-    return plane_.PublishOne(env, 0, buf, len, 0, deadline);
+    return plane_->Send(env, 0, buf, len, 0, deadline);
   }
   sim::Task<base::Status> SendBatch(os::Env env, std::span<const SendItem> items,
                                     os::Deadline deadline = {}) {
-    return plane_.Publish(env, 0, items, 0, deadline);
+    return plane_->SendBatch(env, 0, items, 0, deadline);
   }
 
   // Gives up acquired-but-unsent buffers: revokes the write capabilities and
   // returns the slots to the pool. Dropping a SendBuf on the floor instead
   // leaks the slot and eventually wedges every producer.
   sim::Task<base::Status> Abandon(os::Env env, const SendBuf& buf) {
-    return plane_.Abandon(env, 0, std::span(&buf, 1));
+    return plane_->Abandon(env, 0, buf);
   }
   sim::Task<base::Status> AbandonBatch(os::Env env, std::span<const SendBuf> bufs) {
-    return plane_.Abandon(env, 0, bufs);
+    return plane_->AbandonBatch(env, 0, bufs);
   }
 
   // Re-loads `buf`'s write capability into kSenderCapReg (a register move).
-  void BindSendCap(os::Thread& t, const SendBuf& buf) const { plane_.BindSendCap(t, buf); }
+  void BindSendCap(os::Thread& t, const SendBuf& buf) const { plane_->BindSendCap(t, buf); }
 
   // Orderly shutdown: the receiver drains in-flight messages, then Recv
   // fails with kBrokenChannel.
-  void Close() { plane_.Close(); }
+  void Close() { plane_->Close(); }
 
   // ---- Receiver side ----
 
@@ -99,55 +99,54 @@ class Channel {
   // thread's register file. Fails with kBrokenChannel after Close() drains,
   // or kCalleeFailed once a peer process died.
   sim::Task<base::Result<Msg>> Recv(os::Env env, os::Deadline deadline = {}) {
-    return plane_.RecvOne(env, 0, deadline);
+    return plane_->Recv(env, 0, deadline);
   }
   // Blocks for the first message, then drains up to `max_n`; the *first*
   // message's capability lands in kReceiverCapReg.
   sim::Task<base::Result<std::vector<Msg>>> RecvBatch(os::Env env, uint32_t max_n,
                                                       os::Deadline deadline = {}) {
-    return plane_.Recv(env, 0, max_n, deadline);
+    return plane_->RecvBatch(env, 0, max_n, deadline);
   }
 
   // Returns buffers to the pool: revokes the receiver's capabilities and
   // unblocks a sender waiting in AcquireBuf.
   sim::Task<base::Status> Release(os::Env env, const Msg& msg) {
-    return plane_.Release(env, 0, std::span(&msg, 1));
+    return plane_->Release(env, 0, msg);
   }
   sim::Task<base::Status> ReleaseBatch(os::Env env, std::span<const Msg> msgs) {
-    return plane_.Release(env, 0, msgs);
+    return plane_->ReleaseBatch(env, 0, msgs);
   }
 
   // Re-loads `msg`'s read capability into kReceiverCapReg (a register move).
-  void BindRecvCap(os::Thread& t, const Msg& msg) const { plane_.BindRecvCap(t, 0, msg); }
+  void BindRecvCap(os::Thread& t, const Msg& msg) const { plane_->BindRecvCap(t, 0, msg); }
 
   // ---- Introspection ----
 
-  os::Process& sender_process() { return *plane_.tx(0).proc; }
-  os::Process& receiver_process() { return *plane_.rx(0).proc; }
+  os::Process& sender_process() { return *plane_->tx(0).proc; }
+  os::Process& receiver_process() { return *plane_->rx(0).proc; }
   ChannelConfig config() const {
-    const PlaneConfig& c = plane_.config();
-    return {c.slots, c.buf_bytes, c.ctrl_tag, c.data_tag, c.rt_tag};
+    const PlaneConfig& c = plane_->config();
+    return {c.slots, c.buf_bytes, c.tags};
   }
-  base::ErrorCode broken() const { return plane_.broken(); }
-  uint64_t sends() const { return plane_.sends(); }
-  uint64_t recvs() const { return plane_.recvs(); }
+  base::ErrorCode broken() const { return plane_->broken(); }
+  uint64_t sends() const { return plane_->sends(); }
+  uint64_t recvs() const { return plane_->recvs(); }
   // Full capability mints (2 per slot once warm: one write + one read).
-  uint64_t cold_mints() const { return plane_.cold_mints(); }
-  uint64_t LiveGrantCount() const { return plane_.LiveGrantCount(); }
-  hw::VirtAddr buf_va(uint32_t index) const { return plane_.buf_va(index); }
-  const Plane& plane() const { return plane_; }
+  uint64_t cold_mints() const { return plane_->cold_mints(); }
+  uint64_t LiveGrantCount() const { return plane_->LiveGrantCount(); }
+  hw::VirtAddr buf_va(uint32_t index) const { return plane_->buf_va(index); }
+  const Plane& plane() const { return *plane_; }
   // Id under which this channel's metrics ("chan/<id>/...") and trace
   // events are attributed.
-  uint32_t obs_id() const { return plane_.obs_id(); }
+  uint32_t obs_id() const { return plane_->obs_id(); }
 
   // Dead-peer teardown (fired via the core::Dipc death hook).
-  void OnProcessDeath(os::Process& proc) { plane_.OnProcessDeath(proc); }
+  void OnProcessDeath(os::Process& proc) { plane_->OnProcessDeath(proc); }
 
  private:
-  friend class Plane;
-  Channel() = default;
+  explicit Channel(std::shared_ptr<Plane> plane) : plane_(std::move(plane)) {}
 
-  Plane plane_;
+  std::shared_ptr<Plane> plane_;
 };
 
 // fd-table endpoints, so channel ends can be delegated between processes
@@ -210,120 +209,6 @@ class ReceiverEndpoint : public os::KernelObject {
  private:
   std::shared_ptr<Channel> ch_;
 };
-
-// ---- Duplex channels ----
-//
-// A DuplexChannel pairs a forward ring (a -> b, requests) with a reverse
-// ring (b -> a, completions) sharing one domain-tag trio, giving
-// request/response traffic a single object with two directional endpoints.
-// Each side *sends* on its outbound ring and *receives* on its inbound one;
-// the rings keep their independent slot pools, so a burst of requests can
-// be in flight while completions stream back (the driver "doorbell +
-// completion queue" shape of §7.3). Either peer's death breaks both rings
-// through their own Dipc death hooks.
-class DuplexEndpoint;
-
-class DuplexChannel {
- public:
-  // Creates the paired rings between `a` (the initiator/client side) and
-  // `b` (the responder/server side). `fwd` configures a->b, `rev` b->a; by
-  // default the reverse ring mirrors the forward one. The two rings share
-  // one freshly allocated domain-tag trio unless `fwd` pins one.
-  static base::Result<std::shared_ptr<DuplexChannel>> Create(core::Dipc& dipc, os::Process& a,
-                                                             os::Process& b, ChannelConfig fwd = {},
-                                                             std::optional<ChannelConfig> rev =
-                                                                 std::nullopt);
-
-  Channel& forward() { return *fwd_; }
-  Channel& reverse() { return *rev_; }
-  std::shared_ptr<Channel> forward_shared() { return fwd_; }
-  std::shared_ptr<Channel> reverse_shared() { return rev_; }
-
-  // Endpoint views: the a-side sends requests and receives completions; the
-  // b-side is the mirror image.
-  std::shared_ptr<DuplexEndpoint> a_end();
-  std::shared_ptr<DuplexEndpoint> b_end();
-
-  // Orderly shutdown of both directions.
-  void Close() {
-    fwd_->Close();
-    rev_->Close();
-  }
-
-  base::ErrorCode broken() const {
-    return fwd_->broken() != base::ErrorCode::kOk ? fwd_->broken() : rev_->broken();
-  }
-
- private:
-  DuplexChannel(std::shared_ptr<Channel> fwd, std::shared_ptr<Channel> rev)
-      : fwd_(std::move(fwd)), rev_(std::move(rev)) {}
-
-  std::shared_ptr<Channel> fwd_;
-  std::shared_ptr<Channel> rev_;
-};
-
-// One side of a duplex channel: batched send ops go out on `out`, batched
-// receive ops drain `in`. An fd-table object, so duplex ends delegate
-// between processes exactly like the unidirectional endpoints (§5.2.2).
-class DuplexEndpoint : public os::KernelObject {
- public:
-  DuplexEndpoint(std::shared_ptr<Channel> out, std::shared_ptr<Channel> in)
-      : out_(std::move(out)), in_(std::move(in)) {}
-  std::string_view type_name() const override { return "chan[duplex]"; }
-  Channel& out() { return *out_; }
-  Channel& in() { return *in_; }
-
-  // Outbound (this side's requests or completions).
-  sim::Task<base::Result<SendBuf>> AcquireBuf(os::Env env, os::Deadline dl = {}) {
-    return out_->AcquireBuf(env, dl);
-  }
-  sim::Task<base::Result<std::vector<SendBuf>>> AcquireBufBatch(os::Env env, uint32_t max_n,
-                                                                os::Deadline dl = {}) {
-    return out_->AcquireBufBatch(env, max_n, dl);
-  }
-  sim::Task<base::Status> Send(os::Env env, const SendBuf& buf, uint64_t len,
-                               os::Deadline dl = {}) {
-    return out_->Send(env, buf, len, dl);
-  }
-  sim::Task<base::Status> Abandon(os::Env env, const SendBuf& buf) {
-    return out_->Abandon(env, buf);
-  }
-  sim::Task<base::Status> AbandonBatch(os::Env env, std::span<const SendBuf> bufs) {
-    return out_->AbandonBatch(env, bufs);
-  }
-  sim::Task<base::Status> SendBatch(os::Env env, std::span<const SendItem> items,
-                                    os::Deadline dl = {}) {
-    return out_->SendBatch(env, items, dl);
-  }
-  void BindSendCap(os::Thread& t, const SendBuf& buf) const { out_->BindSendCap(t, buf); }
-
-  // Inbound (the peer's traffic).
-  sim::Task<base::Result<Msg>> Recv(os::Env env, os::Deadline dl = {}) {
-    return in_->Recv(env, dl);
-  }
-  sim::Task<base::Result<std::vector<Msg>>> RecvBatch(os::Env env, uint32_t max_n,
-                                                      os::Deadline dl = {}) {
-    return in_->RecvBatch(env, max_n, dl);
-  }
-  sim::Task<base::Status> Release(os::Env env, const Msg& msg) { return in_->Release(env, msg); }
-  sim::Task<base::Status> ReleaseBatch(os::Env env, std::span<const Msg> msgs) {
-    return in_->ReleaseBatch(env, msgs);
-  }
-  void BindRecvCap(os::Thread& t, const Msg& msg) const { in_->BindRecvCap(t, msg); }
-
-  void Close() { out_->Close(); }
-
- private:
-  std::shared_ptr<Channel> out_;
-  std::shared_ptr<Channel> in_;
-};
-
-inline std::shared_ptr<DuplexEndpoint> DuplexChannel::a_end() {
-  return std::make_shared<DuplexEndpoint>(fwd_, rev_);
-}
-inline std::shared_ptr<DuplexEndpoint> DuplexChannel::b_end() {
-  return std::make_shared<DuplexEndpoint>(rev_, fwd_);
-}
 
 }  // namespace dipc::chan
 

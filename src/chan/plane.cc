@@ -56,9 +56,29 @@ constexpr GatedRows kFanInRows{
 
 }  // namespace
 
+base::Result<std::shared_ptr<Plane>> Plane::Create(core::Dipc& dipc, Gate gate,
+                                                   std::span<os::Process* const> tx,
+                                                   std::span<os::Process* const> rx,
+                                                   const PlaneConfig& cfg) {
+  std::shared_ptr<Plane> plane(new Plane());
+  base::Status s = plane->Open(dipc, gate, tx, rx, cfg);
+  if (!s.ok()) {
+    return s.code();
+  }
+  std::weak_ptr<Plane> weak = plane;
+  dipc.AddDeathHook([weak](os::Process& dead) {
+    auto live = weak.lock();
+    if (live == nullptr) {
+      return false;  // plane gone: unregister the hook
+    }
+    live->OnProcessDeath(dead);
+    return true;
+  });
+  return plane;
+}
+
 base::Status Plane::Open(core::Dipc& dipc, Gate gate, std::span<os::Process* const> tx,
-                         std::span<os::Process* const> rx, const PlaneConfig& cfg,
-                         const std::shared_ptr<Plane>& self) {
+                         std::span<os::Process* const> rx, const PlaneConfig& cfg) {
   if (cfg.slots == 0 || cfg.slots > kMaxSlots || cfg.buf_bytes == 0 ||
       cfg.buf_bytes > kLenMask || cfg.credits > cfg.slots || tx.empty() || rx.empty()) {
     return base::ErrorCode::kInvalidArgument;
@@ -76,23 +96,24 @@ base::Status Plane::Open(core::Dipc& dipc, Gate gate, std::span<os::Process* con
   cfg_ = cfg;
   credit_line_ = cfg.credits != 0 ? cfg.credits : cfg.slots;
   codoms::AplTable& apl = kernel_->codoms().apl_table();
-  ctrl_tag_ = cfg.ctrl_tag != hw::kInvalidDomainTag ? cfg.ctrl_tag : apl.AllocateTag();
-  data_tag_ = cfg.data_tag != hw::kInvalidDomainTag ? cfg.data_tag : apl.AllocateTag();
-  rt_tag_ = cfg.rt_tag != hw::kInvalidDomainTag ? cfg.rt_tag : apl.AllocateTag();
+  if (!cfg_.tags.has_value()) {
+    cfg_.tags = TagTrio::Allocate(apl);
+  }
+  const TagTrio& trio = tags();
   // One-time APL setup (per-message paths never touch APLs, so APL-cache
   // entries stay warm): every endpoint may use the control segment and call
   // into the runtime; only the runtime domain reaches the data domain.
   for (auto side : {tx, rx}) {
     for (os::Process* p : side) {
-      apl.Grant(p->default_domain(), ctrl_tag_, codoms::Perm::kWrite);
-      apl.Grant(p->default_domain(), rt_tag_, codoms::Perm::kCall);
+      apl.Grant(p->default_domain(), trio.ctrl, codoms::Perm::kWrite);
+      apl.Grant(p->default_domain(), trio.rt, codoms::Perm::kCall);
     }
   }
-  apl.Grant(rt_tag_, data_tag_, codoms::Perm::kWrite);
+  apl.Grant(trio.rt, trio.data, codoms::Perm::kWrite);
 
   home_ = gate == Gate::kAdmission ? rx[0] : tx[0];
   buf_stride_ = hw::PageRoundUp(cfg.buf_bytes);
-  auto data = MapSegment(*kernel_, *home_, buf_stride_ * cfg.slots, data_tag_);
+  auto data = MapSegment(*kernel_, *home_, buf_stride_ * cfg.slots, trio.data);
   if (!data.ok()) {
     return data.code();
   }
@@ -100,7 +121,7 @@ base::Status Plane::Open(core::Dipc& dipc, Gate gate, std::span<os::Process* con
   // One capability-storage slot per (receiver, buffer): each receiver loads
   // its *own* stored read capability, so revocations are per receiver.
   auto caps = MapSegment(*kernel_, *home_, uint64_t{rx.size()} * cfg.slots * codoms::kCapMemBytes,
-                         ctrl_tag_, /*cap_storage=*/true);
+                         trio.ctrl, /*cap_storage=*/true);
   if (!caps.ok()) {
     return caps.code();
   }
@@ -120,7 +141,7 @@ base::Status Plane::Open(core::Dipc& dipc, Gate gate, std::span<os::Process* con
   const obs::QueueScopeRow<1> free_scope = gate == Gate::kDelivery    ? obs::kFanOutFreeQueue
                                            : gate == Gate::kAdmission ? obs::kFanInFreeQueue
                                                                       : obs::kChanFreeQueue;
-  free_ = std::make_unique<MpmcQueue>(*kernel_, *home_, cfg.slots, ctrl_tag_,
+  free_ = std::make_unique<MpmcQueue>(*kernel_, *home_, cfg.slots, trio.ctrl,
                                       obs::QueueScope(free_scope, obs_id_));
   for (uint32_t i = 0; i < cfg.slots; ++i) {
     free_->Prime(i);
@@ -137,16 +158,6 @@ base::Status Plane::Open(core::Dipc& dipc, Gate gate, std::span<os::Process* con
   wtmpl_.resize(tx_.size() * cfg.slots);
   rtmpl_.resize(rx_.size() * cfg.slots);
   rcaps_.resize(rx_.size() * cfg.slots);
-
-  std::weak_ptr<Plane> weak = self;
-  dipc.AddDeathHook([weak](os::Process& dead) {
-    auto live = weak.lock();
-    if (live == nullptr) {
-      return false;  // plane gone: unregister the hook
-    }
-    live->OnProcessDeath(dead);
-    return true;
-  });
   return base::Status::Ok();
 }
 
@@ -196,7 +207,7 @@ std::unique_ptr<MpmcQueue> Plane::MakeDesc(uint32_t r) {
                      gate_ == Gate::kAdmission ? obs::kFanInDescQueue : obs::kChanDescQueue,
                      obs_id_);
   return std::make_unique<MpmcQueue>(*kernel_, *home_, delivery ? credit_line_ : cfg_.slots,
-                                     ctrl_tag_, scope);
+                                     tags().ctrl, scope);
 }
 
 template <typename F>
@@ -226,7 +237,7 @@ base::Result<codoms::Capability> Plane::GrantCap(os::Env env, uint32_t index,
       (write ? wtmpl_ : rtmpl_)[uint64_t{e} * cfg_.slots + index];
   codoms::ThreadCapContext& ctx = env.self->cap_ctx();
   hw::DomainTag saved = ctx.current_domain;
-  ctx.current_domain = rt_tag_;
+  ctx.current_domain = tags().rt;
   sim::Duration c;
   base::Result<codoms::Capability> cap = base::ErrorCode::kFault;
   obs::TraceRing& tr = obs::Trace();
@@ -336,18 +347,18 @@ void Plane::Refund(Endpoint& e, uint64_t n) {
   e.m_credits->Set(static_cast<int64_t>(e.credits));
 }
 
-sim::Task<base::Result<SendBuf>> Plane::AcquireOne(os::Env env, uint32_t p,
+sim::Task<base::Result<SendBuf>> Plane::AcquireBuf(os::Env env, uint32_t p,
                                                    os::Deadline deadline) {
-  auto batch = co_await Acquire(env, p, 1, deadline);
+  auto batch = co_await AcquireBufBatch(env, p, 1, deadline);
   if (!batch.ok()) {
     co_return batch.code();
   }
   co_return batch.value()[0];
 }
 
-sim::Task<base::Result<std::vector<SendBuf>>> Plane::Acquire(os::Env env, uint32_t p,
-                                                             uint32_t max_n,
-                                                             os::Deadline deadline) {
+sim::Task<base::Result<std::vector<SendBuf>>> Plane::AcquireBufBatch(os::Env env, uint32_t p,
+                                                                     uint32_t max_n,
+                                                                     os::Deadline deadline) {
   os::Kernel& k = *env.kernel;
   if (max_n == 0 || p >= tx_.size()) {
     co_return base::ErrorCode::kInvalidArgument;
@@ -463,15 +474,15 @@ void Plane::BindRecvCap(os::Thread& t, uint32_t r, const Msg& msg) const {
   }
 }
 
-sim::Task<base::Status> Plane::PublishOne(os::Env env, uint32_t p, const SendBuf& buf,
-                                          uint64_t len, uint32_t target,
-                                          os::Deadline deadline) {
+sim::Task<base::Status> Plane::Send(os::Env env, uint32_t p, const SendBuf& buf, uint64_t len,
+                                    uint32_t target, os::Deadline deadline) {
   SendItem item{buf, len};
-  co_return co_await Publish(env, p, std::span(&item, 1), target, deadline);
+  co_return co_await SendBatch(env, p, std::span(&item, 1), target, deadline);
 }
 
-sim::Task<base::Status> Plane::Publish(os::Env env, uint32_t p, std::span<const SendItem> items,
-                                       uint32_t target, os::Deadline deadline) {
+sim::Task<base::Status> Plane::SendBatch(os::Env env, uint32_t p,
+                                         std::span<const SendItem> items, uint32_t target,
+                                         os::Deadline deadline) {
   os::Kernel& k = *env.kernel;
   const hw::CostModel& cm = k.costs();
   const uint32_t n_rx = rx_count();
@@ -517,8 +528,9 @@ sim::Task<base::Status> Plane::Publish(os::Env env, uint32_t p, std::span<const 
     co_return base::ErrorCode::kInvalidArgument;
   }
   if (gate_ == Gate::kDelivery) {
-    // A sharded message is never dropped: SendTo waits for the whole batch's
-    // worth of its target's credit, broadcast for every live receiver's.
+    // A sharded message is never dropped: a sharded send waits for the whole
+    // batch's worth of its target's credit, broadcast for every live
+    // receiver's.
     base::ErrorCode gate = co_await AwaitCredit(env, target, items.size(), deadline);
     if (gate != base::ErrorCode::kOk) {
       co_return gate;
@@ -665,7 +677,8 @@ sim::Task<base::Status> Plane::Publish(os::Env env, uint32_t p, std::span<const 
   co_return base::Status::Ok();
 }
 
-sim::Task<base::Status> Plane::Abandon(os::Env env, uint32_t p, std::span<const SendBuf> bufs) {
+sim::Task<base::Status> Plane::AbandonBatch(os::Env env, uint32_t p,
+                                            std::span<const SendBuf> bufs) {
   os::Kernel& k = *env.kernel;
   const hw::CostModel& cm = k.costs();
   if (bufs.empty() || p >= tx_.size()) {
@@ -721,16 +734,17 @@ uint32_t Plane::NextShard() {
   return rx_count();
 }
 
-sim::Task<base::Result<Msg>> Plane::RecvOne(os::Env env, uint32_t r, os::Deadline deadline) {
-  auto batch = co_await Recv(env, r, 1, deadline);
+sim::Task<base::Result<Msg>> Plane::Recv(os::Env env, uint32_t r, os::Deadline deadline) {
+  auto batch = co_await RecvBatch(env, r, 1, deadline);
   if (!batch.ok()) {
     co_return batch.code();
   }
   co_return batch.value()[0];
 }
 
-sim::Task<base::Result<std::vector<Msg>>> Plane::Recv(os::Env env, uint32_t r, uint32_t max_n,
-                                                      os::Deadline deadline) {
+sim::Task<base::Result<std::vector<Msg>>> Plane::RecvBatch(os::Env env, uint32_t r,
+                                                           uint32_t max_n,
+                                                           os::Deadline deadline) {
   os::Kernel& k = *env.kernel;
   if (max_n == 0 || r >= rx_.size()) {
     co_return base::ErrorCode::kInvalidArgument;
@@ -803,7 +817,8 @@ sim::Task<base::Result<std::vector<Msg>>> Plane::Recv(os::Env env, uint32_t r, u
   co_return out;
 }
 
-sim::Task<base::Status> Plane::Release(os::Env env, uint32_t r, std::span<const Msg> msgs) {
+sim::Task<base::Status> Plane::ReleaseBatch(os::Env env, uint32_t r,
+                                            std::span<const Msg> msgs) {
   os::Kernel& k = *env.kernel;
   const hw::CostModel& cm = k.costs();
   if (msgs.empty() || r >= rx_.size()) {
@@ -1037,8 +1052,8 @@ base::Status Plane::Rebind(Side side, uint32_t i, os::Process& proc) {
     return base::ErrorCode::kInvalidArgument;
   }
   codoms::AplTable& apl = kernel_->codoms().apl_table();
-  apl.Grant(proc.default_domain(), ctrl_tag_, codoms::Perm::kWrite);
-  apl.Grant(proc.default_domain(), rt_tag_, codoms::Perm::kCall);
+  apl.Grant(proc.default_domain(), tags().ctrl, codoms::Perm::kWrite);
+  apl.Grant(proc.default_domain(), tags().rt, codoms::Perm::kCall);
   e.proc = &proc;
   // Fresh owner key: the dead incarnation's counters stay bulk-revoked under
   // the old one, and late releases of its messages refund nobody.

@@ -34,14 +34,16 @@
 // one runtime entry, one accounting charge and at most one futex wake per
 // queue touched.
 //
-// The Gate is the only per-shape datum; the public views set it:
-//   - kNone (Channel, 1x1): no credit lines — the producer parks in the
-//     free-pool pop, and either endpoint's death breaks the plane.
-//   - kDelivery (FanOutChannel, 1xN): one credit line per receiver, taken per
+// Callers drive the plane directly, naming the producer or receiver index on
+// every call; the Gate is the only per-shape datum:
+//   - kNone (1x1, wrapped by the Channel view): no credit lines — the
+//     producer parks in the free-pool pop, and either endpoint's death
+//     breaks the plane.
+//   - kDelivery (fan-out, 1xN): one credit line per receiver, taken per
 //     delivery and returned by its release; broadcast waits for the slowest
 //     live receiver. A dead receiver is excised alone; the producer's death
 //     breaks the plane.
-//   - kAdmission (FanInChannel, Mx1): one credit line per producer, taken at
+//   - kAdmission (fan-in, Mx1): one credit line per producer, taken at
 //     acquire and returned when the slot goes back to the pool. A dead
 //     producer is excised alone; the consumer's death breaks the plane.
 // Excised endpoints can be rebound to a fresh process (the supervisor's
@@ -59,6 +61,7 @@
 #include "base/result.h"
 #include "chan/mpmc_queue.h"
 #include "chan/segment.h"
+#include "codoms/apl.h"
 #include "codoms/capability.h"
 #include "dipc/dipc.h"
 #include "obs/metrics.h"
@@ -69,6 +72,28 @@
 
 namespace dipc::chan {
 
+// The domain tags of one plane: its control segment, its data domain and its
+// trusted runtime domain. Only Allocate builds one, so a trio is always
+// whole. Planes that express the same trust relationship (e.g. many
+// per-worker planes between the same two tiers) share one, which keeps the
+// per-CPU APL cache (32 entries, §4.3) from thrashing at hundreds of planes.
+struct TagTrio {
+  hw::DomainTag ctrl;
+  hw::DomainTag data;
+  hw::DomainTag rt;
+
+  // Allocates ctrl, data and rt, in that order.
+  static TagTrio Allocate(codoms::AplTable& apl) {
+    const hw::DomainTag ctrl = apl.AllocateTag();
+    const hw::DomainTag data = apl.AllocateTag();
+    return TagTrio(ctrl, data, apl.AllocateTag());
+  }
+  bool operator==(const TagTrio&) const = default;
+
+ private:
+  TagTrio(hw::DomainTag c, hw::DomainTag d, hw::DomainTag r) : ctrl(c), data(d), rt(r) {}
+};
+
 struct PlaneConfig {
   uint32_t slots = 8;            // in-flight message buffers (shared pool)
   uint64_t buf_bytes = 1 << 16;  // payload capacity per buffer
@@ -77,14 +102,9 @@ struct PlaneConfig {
   // producer may hold (fan-in). Set it below `slots` to keep one laggard or
   // flooder from pinning the shared pool.
   uint32_t credits = 0;
-  // Optional pre-allocated domain-tag trio, shared between planes that
-  // express the same trust relationship (e.g. many per-worker planes between
-  // the same two tiers). Sharing keeps the per-CPU APL cache (32 entries,
-  // §4.3) from thrashing at hundreds of planes. kInvalidDomainTag (the
-  // default) allocates a fresh trio.
-  hw::DomainTag ctrl_tag = hw::kInvalidDomainTag;
-  hw::DomainTag data_tag = hw::kInvalidDomainTag;
-  hw::DomainTag rt_tag = hw::kInvalidDomainTag;
+  // A pinned tag trio to share with other planes; empty allocates a fresh
+  // one. A plane's config() always holds the trio it uses.
+  std::optional<TagTrio> tags = std::nullopt;
 };
 
 // A buffer the producer owns (write capability in kSenderCapReg). `tctx` is
@@ -115,7 +135,7 @@ struct Msg {
 
 // Which endpoints carry credit lines, and so which side's deaths the plane
 // survives (see the top of this file).
-enum class Gate : uint8_t { kNone, kDelivery, kAdmission };
+enum class Gate { kNone, kDelivery, kAdmission };
 // A plane's producers (kTx) or receivers (kRx).
 enum class Side : uint8_t { kTx, kRx };
 
@@ -137,25 +157,15 @@ class Plane {
     obs::Histogram* m_stall_ns = nullptr;
   };
 
-  Plane() = default;
   Plane(const Plane&) = delete;
   Plane& operator=(const Plane&) = delete;
 
-  // Builds `View` (which holds nothing but a Plane named plane_) over
-  // producers `tx` and receivers `rx`, and registers dead-peer teardown.
-  template <typename View>
-  static base::Result<std::shared_ptr<View>> Create(core::Dipc& dipc, Gate gate,
-                                                    std::span<os::Process* const> tx,
-                                                    std::span<os::Process* const> rx,
-                                                    const PlaneConfig& cfg) {
-    std::shared_ptr<View> view(new View());
-    base::Status s =
-        view->plane_.Open(dipc, gate, tx, rx, cfg, std::shared_ptr<Plane>(view, &view->plane_));
-    if (!s.ok()) {
-      return s.code();
-    }
-    return view;
-  }
+  // Builds a plane over producers `tx` and receivers `rx` in `dipc`'s global
+  // VAS and registers dead-peer teardown for every endpoint process.
+  static base::Result<std::shared_ptr<Plane>> Create(core::Dipc& dipc, Gate gate,
+                                                     std::span<os::Process* const> tx,
+                                                     std::span<os::Process* const> rx,
+                                                     const PlaneConfig& cfg = {});
 
   // ---- Producer side (`p` names the producer) ----
 
@@ -163,24 +173,31 @@ class Plane {
   // capabilities over up to `max_n` buffers; the *last* one is loaded into
   // kSenderCapReg. A finite `deadline` bounds every wait with kTimedOut and
   // leaves no grant or credit behind.
-  sim::Task<base::Result<std::vector<SendBuf>>> Acquire(os::Env env, uint32_t p, uint32_t max_n,
-                                                        os::Deadline deadline);
-  sim::Task<base::Result<SendBuf>> AcquireOne(os::Env env, uint32_t p, os::Deadline deadline);
+  sim::Task<base::Result<std::vector<SendBuf>>> AcquireBufBatch(os::Env env, uint32_t p,
+                                                                uint32_t max_n,
+                                                                os::Deadline deadline = {});
+  sim::Task<base::Result<SendBuf>> AcquireBuf(os::Env env, uint32_t p,
+                                              os::Deadline deadline = {});
 
   // Publishes `items` to receiver `target`, or to every live receiver when
   // `target` == rx_count(). Each destination gets its own read grant; the
   // producer's write ownership ends before any descriptor is visible.
   // While broken() == kOk a send that fails before publishing leaves the
-  // producer owning every buffer (retry, or Abandon). A Close racing the
-  // publish fails it with kBrokenChannel and revokes what did not land.
-  sim::Task<base::Status> Publish(os::Env env, uint32_t p, std::span<const SendItem> items,
-                                  uint32_t target, os::Deadline deadline);
-  sim::Task<base::Status> PublishOne(os::Env env, uint32_t p, const SendBuf& buf, uint64_t len,
-                                     uint32_t target, os::Deadline deadline);
+  // producer owning every buffer (re-shard, retry, or Abandon). A Close
+  // racing the publish fails it with kBrokenChannel and revokes what did not
+  // land.
+  sim::Task<base::Status> SendBatch(os::Env env, uint32_t p, std::span<const SendItem> items,
+                                    uint32_t target, os::Deadline deadline = {});
+  sim::Task<base::Status> Send(os::Env env, uint32_t p, const SendBuf& buf, uint64_t len,
+                               uint32_t target, os::Deadline deadline = {});
 
   // Gives acquired-but-unsent buffers back to the pool, revoking p's write
-  // grants (and refunding admission credit).
-  sim::Task<base::Status> Abandon(os::Env env, uint32_t p, std::span<const SendBuf> bufs);
+  // grants (and refunding admission credit). Dropping a SendBuf on the floor
+  // instead leaks the slot and eventually wedges every producer.
+  sim::Task<base::Status> AbandonBatch(os::Env env, uint32_t p, std::span<const SendBuf> bufs);
+  sim::Task<base::Status> Abandon(os::Env env, uint32_t p, const SendBuf& buf) {
+    return AbandonBatch(env, p, std::span(&buf, 1));
+  }
 
   // Round-robin over live receivers; rx_count() when none is alive.
   uint32_t NextShard();
@@ -192,16 +209,22 @@ class Plane {
 
   // Blocks for the first descriptor, then drains up to `max_n` without
   // blocking again; the *first* message's capability lands in
-  // kReceiverCapReg. A slot whose stored capability was destroyed by a plain
-  // write is recycled and the healthy messages are still delivered.
-  sim::Task<base::Result<std::vector<Msg>>> Recv(os::Env env, uint32_t r, uint32_t max_n,
-                                                 os::Deadline deadline);
-  sim::Task<base::Result<Msg>> RecvOne(os::Env env, uint32_t r, os::Deadline deadline);
+  // kReceiverCapReg. Fails with kBrokenChannel after Close() drains, or
+  // kCalleeFailed once a fatal peer (or this receiver) died. A slot whose
+  // stored capability was destroyed by a plain write is recycled and the
+  // healthy messages are still delivered.
+  sim::Task<base::Result<std::vector<Msg>>> RecvBatch(os::Env env, uint32_t r, uint32_t max_n,
+                                                      os::Deadline deadline = {});
+  sim::Task<base::Result<Msg>> Recv(os::Env env, uint32_t r, os::Deadline deadline = {});
 
   // Revokes r's read grants, returns credit, and hands each slot back to the
   // pool once its last holder released it.
-  sim::Task<base::Status> Release(os::Env env, uint32_t r, std::span<const Msg> msgs);
+  sim::Task<base::Status> ReleaseBatch(os::Env env, uint32_t r, std::span<const Msg> msgs);
+  sim::Task<base::Status> Release(os::Env env, uint32_t r, const Msg& msg) {
+    return ReleaseBatch(env, r, std::span(&msg, 1));
+  }
 
+  // Re-loads `msg`'s read capability into kReceiverCapReg (a register move).
   void BindRecvCap(os::Thread& t, uint32_t r, const Msg& msg) const;
 
   // ---- Lifecycle ----
@@ -240,8 +263,8 @@ class Plane {
   hw::VirtAddr CapSlotVa(uint32_t r, uint32_t index) const {
     return cap_seg_.base + (uint64_t{r} * cfg_.slots + index) * codoms::kCapMemBytes;
   }
-  // Id under which metrics ("<chan|fanout|fanin>/<id>/...") and trace events
-  // are attributed.
+  // Id under which metrics ("<chan|fanout|fanin>/<id>/...", per-endpoint
+  // "rx/<r>/..." or "tx/<p>/...") and trace events are attributed.
   uint32_t obs_id() const { return obs_id_; }
 
  private:
@@ -257,10 +280,11 @@ class Plane {
     uint64_t tctx = 0;  // trace side-band: stamped at publish, read at Recv
   };
 
+  Plane() = default;
   base::Status Open(core::Dipc& dipc, Gate gate, std::span<os::Process* const> tx,
-                    std::span<os::Process* const> rx, const PlaneConfig& cfg,
-                    const std::shared_ptr<Plane>& self);
+                    std::span<os::Process* const> rx, const PlaneConfig& cfg);
   void RegisterMetrics();
+  const TagTrio& tags() const { return *cfg_.tags; }
   std::unique_ptr<MpmcQueue> MakeDesc(uint32_t r);
   // Close/Fail every queue, in creation order.
   template <typename F>
@@ -301,9 +325,6 @@ class Plane {
   uint64_t buf_stride_ = 0;   // page-rounded buf_bytes
   uint32_t credit_line_ = 0;  // cfg_.credits resolved against cfg_.slots
   os::Process* home_ = nullptr;  // maps the segments: the endpoint whose death breaks
-  hw::DomainTag ctrl_tag_ = hw::kInvalidDomainTag;
-  hw::DomainTag data_tag_ = hw::kInvalidDomainTag;
-  hw::DomainTag rt_tag_ = hw::kInvalidDomainTag;
   Segment data_seg_;
   Segment cap_seg_;  // rx_count() * slots capability-storage slots
   std::unique_ptr<MpmcQueue> free_;

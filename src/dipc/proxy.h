@@ -114,6 +114,9 @@ class ProxyRef {
       bool done = false;
       uint64_t result = 0;
       base::ErrorCode err = base::ErrorCode::kOk;
+      // Threads in Await. A raw WaitQueue for no modelled reason: a
+      // user-level Await would futex-wait on `done` and pay the futex path,
+      // which this park and its wake do not charge.
       os::WaitQueue waiters;
     };
     std::shared_ptr<State> state_;

@@ -64,27 +64,24 @@ base::Result<std::shared_ptr<ServiceFabric>> ServiceFabric::Create(
 
   // Tag trios: shared across planes by default (identical trust relationship
   // for every tenant), so the per-CPU APL cache sees 6 tags no matter how
-  // many clients ride the fabric. Leaving the tags invalid makes each
-  // channel allocate its own trio — the cache-thrash design point.
-  chan::FanOutConfig req_cfg{.slots = cfg.req_slots, .buf_bytes = cfg.req_bytes};
-  chan::FanInConfig resp_cfg{.slots = cfg.resp_slots, .buf_bytes = cfg.resp_bytes};
+  // many clients ride the fabric. Leaving them unpinned makes each plane
+  // allocate its own trio — the cache-thrash design point.
+  chan::PlaneConfig req_cfg{.slots = cfg.req_slots, .buf_bytes = cfg.req_bytes};
+  chan::PlaneConfig resp_cfg{.slots = cfg.resp_slots, .buf_bytes = cfg.resp_bytes};
   if (cfg.shared_trio) {
     codoms::AplTable& apl = dipc.kernel().codoms().apl_table();
-    req_cfg.ctrl_tag = apl.AllocateTag();
-    req_cfg.data_tag = apl.AllocateTag();
-    req_cfg.rt_tag = apl.AllocateTag();
-    resp_cfg.ctrl_tag = apl.AllocateTag();
-    resp_cfg.data_tag = apl.AllocateTag();
-    resp_cfg.rt_tag = apl.AllocateTag();
+    req_cfg.tags = chan::TagTrio::Allocate(apl);
+    resp_cfg.tags = chan::TagTrio::Allocate(apl);
   }
   fab->req_.reserve(clients.size());
   fab->resp_.reserve(clients.size());
   for (os::Process* c : clients) {
-    auto req = chan::FanOutChannel::Create(dipc, *c, workers, req_cfg);
+    os::Process* client[] = {c};
+    auto req = chan::Plane::Create(dipc, chan::Gate::kDelivery, client, workers, req_cfg);
     if (!req.ok()) {
       return req.code();
     }
-    auto resp = chan::FanInChannel::Create(dipc, workers, *c, resp_cfg);
+    auto resp = chan::Plane::Create(dipc, chan::Gate::kAdmission, workers, client, resp_cfg);
     if (!resp.ok()) {
       return resp.code();
     }
@@ -102,7 +99,7 @@ bool ServiceFabric::client_broken(uint32_t c) const {
 bool ServiceFabric::worker_alive(uint32_t w) const {
   for (uint32_t c = 0; c < client_count(); ++c) {
     if (!client_broken(c)) {
-      return req_[c]->receiver_alive(w);
+      return req_[c]->rx(w).alive;
     }
   }
   return false;
@@ -110,7 +107,7 @@ bool ServiceFabric::worker_alive(uint32_t w) const {
 
 bool ServiceFabric::WorkerOutstanding(uint32_t w) const {
   for (uint32_t c = 0; c < client_count(); ++c) {
-    if (!client_broken(c) && req_[c]->credits(w) < req_[c]->credit_line()) {
+    if (!client_broken(c) && req_[c]->rx(w).credits < req_[c]->credit_line()) {
       return true;
     }
   }
@@ -130,11 +127,11 @@ base::Status ServiceFabric::RebindWorker(uint32_t worker, os::Process& proc) {
       continue;
     }
     any_live = true;
-    base::Status s = req_[c]->RebindReceiver(worker, proc);
+    base::Status s = req_[c]->Rebind(chan::Side::kRx, worker, proc);
     if (!s.ok()) {
       return s;
     }
-    s = resp_[c]->RebindProducer(worker, proc);
+    s = resp_[c]->Rebind(chan::Side::kTx, worker, proc);
     if (!s.ok()) {
       return s;
     }
@@ -154,7 +151,7 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
   if (client >= client_count() || req_len < sizeof(uint64_t) || req_len > cfg_.req_bytes) {
     co_return base::ErrorCode::kInvalidArgument;
   }
-  const std::shared_ptr<chan::FanOutChannel>& req = req_[client];
+  const std::shared_ptr<chan::Plane>& req = req_[client];
   const uint64_t opid = ++next_opid_;
   auto sem = std::make_shared<os::Semaphore>(0);
   {
@@ -199,7 +196,7 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
                                 : os::Deadline::Never();
     const uint8_t att = static_cast<uint8_t>(attempt > 255 ? 255 : attempt);
     const sim::Time t_acq = k.now();
-    auto buf = co_await req->AcquireBuf(env, dl);
+    auto buf = co_await req->AcquireBuf(env, 0, dl);
     if (!buf.ok()) {
       if (req->broken() != base::ErrorCode::kOk ||
           buf.code() == base::ErrorCode::kBrokenChannel) {
@@ -223,10 +220,10 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
     const sim::Time t_send = k.now();
     while (req->broken() == base::ErrorCode::kOk) {
       uint32_t shard = req->NextShard();
-      if (shard >= req->receiver_count()) {
+      if (shard >= req->rx_count()) {
         break;
       }
-      auto s = co_await req->SendTo(env, sb, req_len, shard, dl);
+      auto s = co_await req->Send(env, 0, sb, req_len, shard, dl);
       if (s.ok()) {
         sent = true;
         shard_used = shard;
@@ -237,7 +234,7 @@ sim::Task<base::Status> ServiceFabric::Call(os::Env env, uint32_t client, uint64
       }
     }
     if (!sent) {
-      (void)co_await req->Abandon(env, sb);
+      (void)co_await req->Abandon(env, 0, sb);
       if (req->broken() != base::ErrorCode::kOk) {
         break;
       }
@@ -279,8 +276,8 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
                                      Handler handler) {
   os::Kernel& k = *env.kernel;
   DIPC_CHECK(client < client_count() && worker < worker_count());
-  const std::shared_ptr<chan::FanOutChannel>& req = req_[client];
-  const std::shared_ptr<chan::FanInChannel>& resp = resp_[client];
+  const std::shared_ptr<chan::Plane>& req = req_[client];
+  const std::shared_ptr<chan::Plane>& resp = resp_[client];
   while (!stopped_) {
     const sim::Time t_recv = k.now();
     auto msg = co_await req->Recv(env, worker);
@@ -322,7 +319,7 @@ sim::Task<void> ServiceFabric::Serve(os::Env env, uint32_t client, uint32_t work
       co_return;  // killed after the acquire; the write grant is gone
     }
     (void)co_await k.TouchUser(env, rb.va, cfg_.resp_bytes, hw::AccessType::kWrite);
-    if (!(co_await resp->Send(env, worker, rb, cfg_.resp_bytes)).ok()) {
+    if (!(co_await resp->Send(env, worker, rb, cfg_.resp_bytes, 0)).ok()) {
       co_return;
     }
     obs::Trace().Record(env.self->last_cpu(), obs::EventType::kRespSend, obs_id_,
@@ -338,10 +335,10 @@ void ServiceFabric::StartDispatcher(uint32_t client) {
   kernel_.Spawn(*client_procs_[client], "fabric-disp",
                 [self, client](os::Env env) -> sim::Task<void> {
                   os::Kernel& k = *env.kernel;
-                  const std::shared_ptr<chan::FanInChannel>& resp = self->resp_[client];
+                  const std::shared_ptr<chan::Plane>& resp = self->resp_[client];
                   while (true) {
                     const sim::Time t_disp = k.now();
-                    auto msg = co_await resp->Recv(env);
+                    auto msg = co_await resp->Recv(env, 0);
                     if (!msg.ok()) {
                       co_return;
                     }
@@ -355,7 +352,7 @@ void ServiceFabric::StartDispatcher(uint32_t client) {
                     }
                     (void)co_await k.TouchUser(env, msg.value().va, msg.value().len,
                                                hw::AccessType::kRead);
-                    if (!(co_await resp->Release(env, msg.value())).ok()) {
+                    if (!(co_await resp->Release(env, 0, msg.value())).ok()) {
                       co_return;
                     }
                     std::shared_ptr<os::Semaphore> sem;

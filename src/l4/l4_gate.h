@@ -60,6 +60,10 @@ class L4Gate : public os::KernelObject {
   os::Kernel& kernel_;
   std::deque<PendingCall*> queue_;  // callers waiting for a server
   PendingCall* in_service_ = nullptr;
+  // Servers parked in an IPC receive. A raw WaitQueue, not an os::Futex: the
+  // wait is the rendezvous inside L4's own kernel IPC path (already charged
+  // as kIpcPath), and a call wakes the server by direct handoff, not by a
+  // FUTEX_WAKE.
   os::WaitQueue server_wait_;
 };
 

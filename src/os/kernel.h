@@ -56,7 +56,9 @@ class Kernel {
   // Spawns a thread; it becomes runnable immediately. `pin_cpu` >= 0 pins it.
   Thread& Spawn(Process& proc, std::string name, ThreadBody body, int pin_cpu = -1);
 
-  // Waits until `target` exits.
+  // Waits until `target` exits. The joiner parks on the target's own joiner
+  // list, not an os::Futex: the target's exit path wakes it, a
+  // kernel-internal event with no user-level word to wait on.
   sim::Task<void> Join(Env env, Thread& target);
 
   // Kills a blocked/runnable thread (it never runs again). Running threads

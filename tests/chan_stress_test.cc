@@ -1,10 +1,10 @@
 // Concurrency stress / property harness for the channel subsystem.
 //
 // Randomized multi-producer/multi-consumer runs over MpmcQueue::PushN/PopN
-// and the Channel/FanOutChannel batch ops, with mixed batch sizes and
-// mid-run KillProcess at a random (sub-operation-granularity) time. The sim
-// is deterministic per seed, so every failure reproduces from the seed in
-// the test trace.
+// and the batch ops of Channel and the fan-out/fan-in planes, with mixed
+// batch sizes and mid-run KillProcess at a random (sub-operation-granularity)
+// time. The sim is deterministic per seed, so every failure reproduces from
+// the seed in the test trace.
 //
 // Invariants, whatever the interleaving:
 //   - no value/message is lost or duplicated (orderly runs deliver exactly
@@ -25,8 +25,7 @@
 #include <vector>
 
 #include "chan/channel.h"
-#include "chan/fanin.h"
-#include "chan/fanout.h"
+#include "chan/plane.h"
 #include "chan/mpmc_queue.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
@@ -405,9 +404,11 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
       receivers.push_back(&dipc.CreateDipcProcess("worker"));
     }
     const uint32_t slots = static_cast<uint32_t>(rng.UniformInt(2, 6));
-    auto ch = FanOutChannel::Create(dipc, prod, receivers, {.slots = slots, .buf_bytes = 4096});
+    os::Process* tx[] = {&prod};
+    auto ch = Plane::Create(dipc, Gate::kDelivery, tx, receivers,
+                            {.slots = slots, .buf_bytes = 4096});
     ASSERT_TRUE(ch.ok());
-    std::shared_ptr<FanOutChannel> fan = ch.value();
+    std::shared_ptr<Plane> fan = ch.value();
     std::vector<std::vector<uint64_t>> got(n_recv);
     for (uint32_t r = 0; r < n_recv; ++r) {
       uint64_t rseed = rng.Next();
@@ -450,7 +451,7 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
           Rng prng(pseed);
           uint64_t msg_seq = 0;
           for (int round = 0; round < 120; ++round) {
-            auto buf = co_await fan->AcquireBuf(env);
+            auto buf = co_await fan->AcquireBuf(env, 0);
             if (!buf.ok()) {
               co_return;
             }
@@ -469,25 +470,25 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
               base::Status s = ErrorCode::kCalleeFailed;
               if (shard_mode) {
                 uint32_t shard = fan->NextShard();
-                if (shard >= fan->receiver_count()) {
+                if (shard >= fan->rx_count()) {
                   break;
                 }
-                s = co_await fan->SendTo(env, buf.value(), 64, shard);
+                s = co_await fan->Send(env, 0, buf.value(), 64, shard);
               } else {
-                s = co_await fan->Send(env, buf.value(), 64);
+                s = co_await fan->Send(env, 0, buf.value(), 64, fan->rx_count());
               }
               if (s.ok()) {
                 sent = true;
                 break;
               }
               if (s.code() != ErrorCode::kCalleeFailed ||
-                  fan->live_receiver_count() == 0) {
+                  fan->live_count(Side::kRx) == 0) {
                 break;
               }
             }
             if (!sent) {
               if (fan->broken() == ErrorCode::kOk) {
-                (void)co_await fan->Abandon(env, buf.value());
+                (void)co_await fan->Abandon(env, 0, buf.value());
               }
               co_return;
             }
@@ -523,7 +524,7 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
             if (victim >= 0) {
               // Per-receiver revocation is immediate and complete.
               EXPECT_EQ(codoms.revocations().LiveCountForOwner(
-                            fan->receiver_owner(static_cast<uint32_t>(victim))),
+                            fan->rx(static_cast<uint32_t>(victim)).key),
                         0u);
             }
           }
@@ -551,7 +552,7 @@ TEST(ChanStress, FanOutRandomKillsRevokePerReceiverAndLeakNothing) {
   }
 }
 
-// --- FanInChannel: randomized M->1 traffic with mid-run kills ---
+// --- Fan-in plane: randomized M->1 traffic with mid-run kills ---
 
 TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
   for (uint64_t seed = 1; seed <= 15; ++seed) {
@@ -570,10 +571,11 @@ TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
     os::Process& cons = dipc.CreateDipcProcess("server");
     const uint32_t slots = static_cast<uint32_t>(rng.UniformInt(2, 6));
     const uint32_t credits = rng.Chance(0.5) ? static_cast<uint32_t>(rng.UniformInt(1, slots)) : 0;
-    auto ch = FanInChannel::Create(dipc, producers, cons,
-                                   {.slots = slots, .buf_bytes = 4096, .credits = credits});
+    os::Process* rx[] = {&cons};
+    auto ch = Plane::Create(dipc, Gate::kAdmission, producers, rx,
+                            {.slots = slots, .buf_bytes = 4096, .credits = credits});
     ASSERT_TRUE(ch.ok());
-    std::shared_ptr<FanInChannel> fan = ch.value();
+    std::shared_ptr<Plane> fan = ch.value();
     std::vector<std::vector<uint64_t>> got(n_prod);
     uint64_t cseed = rng.Next();
     kernel.Spawn(
@@ -586,7 +588,7 @@ TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
           const os::Deadline dl = os::Deadline::After(k.now(), Duration::Micros(150));
           while (true) {
             auto msgs = co_await fan->RecvBatch(
-                env, static_cast<uint32_t>(crng.UniformInt(1, slots)), dl);
+                env, 0, static_cast<uint32_t>(crng.UniformInt(1, slots)), dl);
             if (!msgs.ok()) {
               if (msgs.code() == ErrorCode::kTimedOut) {
                 fan->Close();
@@ -594,14 +596,14 @@ TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
               co_return;
             }
             for (const Msg& m : msgs.value()) {
-              fan->BindRecvCap(*env.self, m);
+              fan->BindRecvCap(*env.self, 0, m);
               uint64_t tagged[2] = {0, 0};  // {producer, seq}
               if (k.UserRead(*env.self, m.va, std::as_writable_bytes(std::span(tagged))).ok() &&
                   tagged[0] < n_prod) {
                 got[tagged[0]].push_back(tagged[1]);
               }
             }
-            if (!(co_await fan->ReleaseBatch(env, msgs.value())).ok()) {
+            if (!(co_await fan->ReleaseBatch(env, 0, msgs.value())).ok()) {
               co_return;
             }
             if (crng.Chance(0.3)) {
@@ -628,7 +630,7 @@ TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
                        .ok()) {
                 co_return;
               }
-              if (!(co_await fan->Send(env, p, buf.value(), 64)).ok()) {
+              if (!(co_await fan->Send(env, p, buf.value(), 64, 0)).ok()) {
                 // While the group is healthy the buffer stays ours on a
                 // failed publish: hand it back instead of leaking the slot.
                 if (fan->broken() == ErrorCode::kOk) {
@@ -668,8 +670,8 @@ TEST(ChanStress, FanInRandomKillsExciseProducersAndLeakNothing) {
             // Excision (or breakage) drains the victim's owner key
             // immediately and completely.
             const uint64_t owner = victim < 0
-                                       ? fan->consumer_owner()
-                                       : fan->producer_owner(static_cast<uint32_t>(victim));
+                                       ? fan->rx(0).key
+                                       : fan->tx(static_cast<uint32_t>(victim)).key;
             EXPECT_EQ(codoms.revocations().LiveCountForOwner(owner), 0u);
           }
         },

@@ -1,15 +1,17 @@
 // Unit tests for the zero-copy channel subsystem (src/chan/): futex-style
 // blocking, MPMC fairness, capability move semantics (sender revocation),
-// and dead-peer teardown.
+// tag-trio sharing, and dead-peer teardown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "chan/channel.h"
 #include "chan/mpmc_queue.h"
+#include "chan/plane.h"
 #include "os/deadline.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
@@ -233,6 +235,114 @@ TEST_F(ChanTest, ChannelRoundTripIsZeroCopy) {
   EXPECT_EQ(sent_va, recv_va);
   EXPECT_EQ(chan.sends(), 1u);
   EXPECT_EQ(chan.recvs(), 1u);
+}
+
+// Request/response over two Channels in opposite directions that share one
+// tag trio: a round trip started from each side, then an orderly close from
+// each side that the peer observes once it has drained.
+TEST_F(ChanTest, ChannelPairRoundTripsBothWaysAndClosesFromEachSide) {
+  os::Process& client = dipc_.CreateDipcProcess("client");
+  os::Process& server = dipc_.CreateDipcProcess("server");
+  const ChannelConfig cfg{.slots = 2,
+                          .buf_bytes = 4096,
+                          .tags = TagTrio::Allocate(codoms_.apl_table())};
+  auto f = Channel::Create(dipc_, client, server, cfg);
+  auto r = Channel::Create(dipc_, server, client, cfg);
+  ASSERT_TRUE(f.ok() && r.ok());
+  Channel& fwd = *f.value();
+  Channel& rev = *r.value();
+  EXPECT_EQ(fwd.config().tags, cfg.tags);
+  EXPECT_EQ(rev.config().tags, cfg.tags);
+  // One round trip: send `v` on `out`, return the reply read off `in`.
+  auto call = [](os::Env env, Channel& out, Channel& in, uint64_t v) -> sim::Task<uint64_t> {
+    auto buf = co_await out.AcquireBuf(env);
+    DIPC_CHECK(buf.ok());
+    DIPC_CHECK(
+        env.kernel->UserWrite(*env.self, buf.value().va, std::as_bytes(std::span(&v, 1))).ok());
+    DIPC_CHECK((co_await out.Send(env, buf.value(), 8)).ok());
+    auto reply = co_await in.Recv(env);
+    DIPC_CHECK(reply.ok());
+    uint64_t got = 0;
+    DIPC_CHECK(env.kernel
+                   ->UserRead(*env.self, reply.value().va,
+                              std::as_writable_bytes(std::span(&got, 1)))
+                   .ok());
+    DIPC_CHECK((co_await in.Release(env, reply.value())).ok());
+    co_return got;
+  };
+  // The mirror image: answer one request off `in` with 10x its value.
+  auto serve = [](os::Env env, Channel& in, Channel& out) -> sim::Task<void> {
+    auto req = co_await in.Recv(env);
+    DIPC_CHECK(req.ok());
+    uint64_t v = 0;
+    DIPC_CHECK(env.kernel
+                   ->UserRead(*env.self, req.value().va, std::as_writable_bytes(std::span(&v, 1)))
+                   .ok());
+    DIPC_CHECK((co_await in.Release(env, req.value())).ok());
+    auto buf = co_await out.AcquireBuf(env);
+    DIPC_CHECK(buf.ok());
+    const uint64_t resp = v * 10;
+    DIPC_CHECK(
+        env.kernel->UserWrite(*env.self, buf.value().va, std::as_bytes(std::span(&resp, 1)))
+            .ok());
+    DIPC_CHECK((co_await out.Send(env, buf.value(), 8)).ok());
+  };
+  constexpr uint64_t kCalls = 5;
+  std::vector<uint64_t> client_got;
+  uint64_t server_got = 0;
+  ErrorCode client_saw = ErrorCode::kOk;
+  ErrorCode server_saw = ErrorCode::kOk;
+  kernel_.Spawn(server, "server", [&](os::Env env) -> sim::Task<void> {
+    for (uint64_t i = 0; i < kCalls; ++i) {
+      co_await serve(env, fwd, rev);
+    }
+    server_got = co_await call(env, rev, fwd, 7);  // the server's own call
+    server_saw = (co_await fwd.Recv(env)).code();  // the client's close
+    rev.Close();
+  });
+  kernel_.Spawn(client, "client", [&](os::Env env) -> sim::Task<void> {
+    for (uint64_t i = 1; i <= kCalls; ++i) {
+      client_got.push_back(co_await call(env, fwd, rev, i));
+    }
+    co_await serve(env, rev, fwd);
+    fwd.Close();
+    client_saw = (co_await rev.Recv(env)).code();  // the server's close
+  });
+  kernel_.Run();
+  EXPECT_EQ(client_got, (std::vector<uint64_t>{10, 20, 30, 40, 50}));
+  EXPECT_EQ(server_got, 70u);
+  EXPECT_EQ(server_saw, ErrorCode::kBrokenChannel);
+  EXPECT_EQ(client_saw, ErrorCode::kBrokenChannel);
+  EXPECT_EQ(fwd.LiveGrantCount(), 0u);
+  EXPECT_EQ(rev.LiveGrantCount(), 0u);
+}
+
+// A pinned trio is used as given by every plane that names it, whatever its
+// gate, and allocates no tag; an unpinned plane allocates a fresh trio, in
+// ctrl, data, rt order.
+TEST_F(ChanTest, PinnedTagTrioIsReusedAcrossPlanes) {
+  os::Process& a = dipc_.CreateDipcProcess("a");
+  os::Process& b = dipc_.CreateDipcProcess("b");
+  codoms::AplTable& apl = codoms_.apl_table();
+  const TagTrio pinned = TagTrio::Allocate(apl);
+  EXPECT_EQ(pinned.data, pinned.ctrl + 1);
+  EXPECT_EQ(pinned.rt, pinned.data + 1);
+  os::Process* as[] = {&a};
+  os::Process* bs[] = {&b};
+  auto ch = Channel::Create(dipc_, a, b, {.slots = 2, .buf_bytes = 4096, .tags = pinned});
+  auto fan = Plane::Create(dipc_, Gate::kDelivery, as, bs,
+                           {.slots = 2, .buf_bytes = 4096, .tags = pinned});
+  ASSERT_TRUE(ch.ok() && fan.ok());
+  EXPECT_EQ(ch.value()->config().tags, pinned);
+  EXPECT_EQ(fan.value()->config().tags, pinned);
+  auto fresh = Plane::Create(dipc_, Gate::kAdmission, as, bs, {.slots = 2, .buf_bytes = 4096});
+  ASSERT_TRUE(fresh.ok());
+  const std::optional<TagTrio> own = fresh.value()->config().tags;
+  ASSERT_TRUE(own.has_value());
+  // The pinned planes took no tag, so the fresh trio follows the pinned one.
+  EXPECT_EQ(own->ctrl, pinned.rt + 1);
+  EXPECT_EQ(own->data, own->ctrl + 1);
+  EXPECT_EQ(own->rt, own->data + 1);
 }
 
 TEST_F(ChanTest, SenderAccessFaultsAfterSend) {

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "chan/plane.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "fabric/fabric.h"
@@ -110,14 +112,14 @@ TEST_F(FabricTest, SharedTrioKeepsTagFootprintConstantAcrossTenants) {
   auto f = ServiceFabric::Create(dipc_, clients, workers, {.req_bytes = 64, .resp_bytes = 64});
   ASSERT_TRUE(f.ok());
   std::shared_ptr<ServiceFabric> fab = f.value();
+  const std::optional<chan::TagTrio> req_tags = fab->request_plane(0)->config().tags;
+  const std::optional<chan::TagTrio> resp_tags = fab->response_plane(0)->config().tags;
+  ASSERT_TRUE(req_tags.has_value() && resp_tags.has_value());
   for (uint32_t c = 1; c < 8; ++c) {
-    EXPECT_EQ(fab->request_plane(c)->config().data_tag,
-              fab->request_plane(0)->config().data_tag);
-    EXPECT_EQ(fab->response_plane(c)->config().data_tag,
-              fab->response_plane(0)->config().data_tag);
+    EXPECT_EQ(fab->request_plane(c)->config().tags, req_tags);
+    EXPECT_EQ(fab->response_plane(c)->config().tags, resp_tags);
   }
-  EXPECT_NE(fab->request_plane(0)->config().data_tag,
-            fab->response_plane(0)->config().data_tag);
+  EXPECT_NE(req_tags->data, resp_tags->data);
   fab->Close();
   kernel_.Run();
 }

@@ -1,7 +1,8 @@
-// Unit tests for the fan-in channel (src/chan/fanin.h): M->1 delivery with
-// per-producer grants, per-producer credit isolation, the death matrix
-// (producer dies mid-send, consumer dies with queued descriptors,
-// credit-exhaustion timeouts) and supervisor-style RebindProducer.
+// Unit tests for the fan-in shape of the channel plane (src/chan/plane.h,
+// Gate::kAdmission): M->1 delivery with per-producer grants, per-producer
+// credit isolation, the death matrix (producer dies mid-send, consumer dies
+// with queued descriptors, credit-exhaustion timeouts) and supervisor-style
+// producer rebinds.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,8 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "chan/channel.h"
-#include "chan/fanin.h"
+#include "chan/plane.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "hw/machine.h"
@@ -44,15 +44,16 @@ class FanInTest : public ::testing::Test {
 TEST_F(FanInTest, ManyProducersDeliverIntoOneConsumerFifo) {
   auto producers = MakeProducers(3);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = FanInChannel::Create(dipc_, producers, cons, {.slots = 4, .buf_bytes = 4096});
+  os::Process* rx[] = {&cons};
+  auto ch = Plane::Create(dipc_, Gate::kAdmission, producers, rx, {.slots = 4, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanInChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   constexpr int kPerProducer = 5;  // 15 total > slots: rotates the pool
   std::vector<int> got(3, 0);
   int total = 0;
   kernel_.Spawn(cons, "server", [&, fan](os::Env env) -> sim::Task<void> {
     while (true) {
-      auto msg = co_await fan->Recv(env);
+      auto msg = co_await fan->Recv(env, 0);
       if (!msg.ok()) {
         EXPECT_EQ(msg.code(), ErrorCode::kBrokenChannel);  // orderly close
         co_return;
@@ -67,7 +68,7 @@ TEST_F(FanInTest, ManyProducersDeliverIntoOneConsumerFifo) {
         ++got[tag];
       }
       ++total;
-      EXPECT_TRUE((co_await fan->Release(env, msg.value())).ok());
+      EXPECT_TRUE((co_await fan->Release(env, 0, msg.value())).ok());
     }
   });
   for (uint32_t p = 0; p < 3; ++p) {
@@ -81,7 +82,7 @@ TEST_F(FanInTest, ManyProducersDeliverIntoOneConsumerFifo) {
                                    std::span<const std::byte>(
                                        reinterpret_cast<const std::byte*>(&tag), 1))
                        .ok());
-        DIPC_CHECK((co_await fan->Send(env, p, buf.value(), 64)).ok());
+        DIPC_CHECK((co_await fan->Send(env, p, buf.value(), 64, 0)).ok());
       }
       if (p == 0) {  // one producer closes after everyone quiesces
         co_await env.kernel->Sleep(env, Duration::Millis(1));
@@ -104,10 +105,11 @@ TEST_F(FanInTest, CreditLineBoundsOneGreedyProducerWithoutStarvingTheGroup) {
   auto producers = MakeProducers(2);
   os::Process& cons = dipc_.CreateDipcProcess("server");
   // Shared pool of 8 slots, but each producer may pin at most 2 at a time.
-  auto ch = FanInChannel::Create(dipc_, producers, cons,
-                                 {.slots = 8, .buf_bytes = 4096, .credits = 2});
+  os::Process* rx[] = {&cons};
+  auto ch = Plane::Create(dipc_, Gate::kAdmission, producers, rx,
+                          {.slots = 8, .buf_bytes = 4096, .credits = 2});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanInChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   bool greedy_timed_out = false;
   int delivered = 0;
   kernel_.Spawn(*producers[0], "greedy", [&, fan](os::Env env) -> sim::Task<void> {
@@ -115,17 +117,17 @@ TEST_F(FanInTest, CreditLineBoundsOneGreedyProducerWithoutStarvingTheGroup) {
     auto a = co_await fan->AcquireBuf(env, 0);
     auto b = co_await fan->AcquireBuf(env, 0);
     DIPC_CHECK(a.ok() && b.ok());
-    EXPECT_EQ(fan->credits(0), 0u);
+    EXPECT_EQ(fan->tx(0).credits, 0u);
     // ...then the third acquire must starve on *credit*, not pool space.
     auto c = co_await fan->AcquireBuf(
         env, 0, os::Deadline::After(env.kernel->now(), Duration::Micros(200)));
     EXPECT_EQ(c.code(), ErrorCode::kTimedOut);
     greedy_timed_out = true;
-    EXPECT_EQ(fan->credits(0), 0u);  // a timeout consumes no credit
+    EXPECT_EQ(fan->tx(0).credits, 0u);  // a timeout consumes no credit
     // Hand the hoard back so teardown is clean.
     EXPECT_TRUE((co_await fan->Abandon(env, 0, a.value())).ok());
     EXPECT_TRUE((co_await fan->Abandon(env, 0, b.value())).ok());
-    EXPECT_EQ(fan->credits(0), 2u);
+    EXPECT_EQ(fan->tx(0).credits, 2u);
     fan->Close();
   });
   kernel_.Spawn(*producers[1], "polite", [&, fan](os::Env env) -> sim::Task<void> {
@@ -134,16 +136,16 @@ TEST_F(FanInTest, CreditLineBoundsOneGreedyProducerWithoutStarvingTheGroup) {
     co_await env.kernel->Sleep(env, Duration::Micros(50));
     auto buf = co_await fan->AcquireBuf(env, 1);
     DIPC_CHECK(buf.ok());
-    DIPC_CHECK((co_await fan->Send(env, 1, buf.value(), 64)).ok());
+    DIPC_CHECK((co_await fan->Send(env, 1, buf.value(), 64, 0)).ok());
   });
   kernel_.Spawn(cons, "server", [&, fan](os::Env env) -> sim::Task<void> {
     while (true) {
-      auto msg = co_await fan->Recv(env);
+      auto msg = co_await fan->Recv(env, 0);
       if (!msg.ok()) {
         co_return;
       }
       ++delivered;
-      EXPECT_TRUE((co_await fan->Release(env, msg.value())).ok());
+      EXPECT_TRUE((co_await fan->Release(env, 0, msg.value())).ok());
     }
   });
   kernel_.Run();
@@ -161,17 +163,18 @@ TEST_F(FanInTest, ProducerDeathMidSendExcisesOnlyThatProducer) {
   // producers must keep flowing.
   auto producers = MakeProducers(2);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = FanInChannel::Create(dipc_, producers, cons, {.slots = 4, .buf_bytes = 4096});
+  os::Process* rx[] = {&cons};
+  auto ch = Plane::Create(dipc_, Gate::kAdmission, producers, rx, {.slots = 4, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanInChannel> fan = ch.value();
-  const uint64_t doomed_owner = fan->producer_owner(0);
+  std::shared_ptr<Plane> fan = ch.value();
+  const uint64_t doomed_owner = fan->tx(0).key;
   int delivered = 0;
   kernel_.Spawn(*producers[0], "doomed", [&, fan](os::Env env) -> sim::Task<void> {
     auto buf = co_await fan->AcquireBuf(env, 0);
     DIPC_CHECK(buf.ok());
     // Widen the send's Spend window so the killer (t=5us) lands inside it.
     machine_.costs().chan_fast_path = Duration::Micros(10);
-    auto s = co_await fan->Send(env, 0, buf.value(), 64);
+    auto s = co_await fan->Send(env, 0, buf.value(), 64, 0);
     // The process was killed mid-charge; whatever the coroutine observes on
     // resume, it must not be a successful publish of a revoked grant.
     (void)s;
@@ -180,25 +183,25 @@ TEST_F(FanInTest, ProducerDeathMidSendExcisesOnlyThatProducer) {
   kernel_.Spawn(*producers[1], "survivor", [&, fan](os::Env env) -> sim::Task<void> {
     co_await env.kernel->Sleep(env, Duration::Micros(50));  // after the kill
     machine_.costs().chan_fast_path = Duration::Nanos(80);
-    EXPECT_FALSE(fan->producer_alive(0));
-    EXPECT_TRUE(fan->producer_alive(1));
+    EXPECT_FALSE(fan->tx(0).alive);
+    EXPECT_TRUE(fan->tx(1).alive);
     EXPECT_EQ(fan->broken(), ErrorCode::kOk);  // group not broken
     for (int i = 0; i < 6; ++i) {  // > slots: the doomed slot was recycled
       auto buf = co_await fan->AcquireBuf(env, 1);
       DIPC_CHECK(buf.ok());
-      DIPC_CHECK((co_await fan->Send(env, 1, buf.value(), 64)).ok());
+      DIPC_CHECK((co_await fan->Send(env, 1, buf.value(), 64, 0)).ok());
     }
     co_await env.kernel->Sleep(env, Duration::Millis(1));
     fan->Close();
   });
   kernel_.Spawn(cons, "server", [&, fan](os::Env env) -> sim::Task<void> {
     while (true) {
-      auto msg = co_await fan->Recv(env);
+      auto msg = co_await fan->Recv(env, 0);
       if (!msg.ok()) {
         co_return;
       }
       ++delivered;
-      EXPECT_TRUE((co_await fan->Release(env, msg.value())).ok());
+      EXPECT_TRUE((co_await fan->Release(env, 0, msg.value())).ok());
     }
   });
   os::Process& killer = dipc_.CreateDipcProcess("killer");
@@ -220,12 +223,13 @@ TEST_F(FanInTest, ConsumerDeathWithQueuedDescriptorsRevokesEverything) {
   // parked producer is woken with the breakage instead of wedging.
   auto producers = MakeProducers(2);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = FanInChannel::Create(dipc_, producers, cons,
-                                 {.slots = 4, .buf_bytes = 4096, .credits = 2});
+  os::Process* rx[] = {&cons};
+  auto ch = Plane::Create(dipc_, Gate::kAdmission, producers, rx,
+                          {.slots = 4, .buf_bytes = 4096, .credits = 2});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanInChannel> fan = ch.value();
-  const uint64_t p0_owner = fan->producer_owner(0);
-  const uint64_t cons_owner = fan->consumer_owner();
+  std::shared_ptr<Plane> fan = ch.value();
+  const uint64_t p0_owner = fan->tx(0).key;
+  const uint64_t cons_owner = fan->rx(0).key;
   bool woke_with_breakage = false;
   kernel_.Spawn(*producers[0], "client", [&, fan](os::Env env) -> sim::Task<void> {
     // Queue two messages the consumer will never drain (it never Recvs),
@@ -233,7 +237,7 @@ TEST_F(FanInTest, ConsumerDeathWithQueuedDescriptorsRevokesEverything) {
     for (int i = 0; i < 2; ++i) {
       auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
-      DIPC_CHECK((co_await fan->Send(env, 0, buf.value(), 64)).ok());
+      DIPC_CHECK((co_await fan->Send(env, 0, buf.value(), 64, 0)).ok());
     }
     // ...then park on credit. The killer fires at t=30us; the consumer's
     // death must fail this wait rather than leave it wedged forever.
@@ -267,40 +271,41 @@ TEST_F(FanInTest, CreditExhaustionTimeoutLeaksNoGrantsOrCredits) {
   // able to proceed normally once the consumer frees a slot.
   auto producers = MakeProducers(1);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = FanInChannel::Create(dipc_, producers, cons,
-                                 {.slots = 2, .buf_bytes = 4096, .credits = 1});
+  os::Process* rx[] = {&cons};
+  auto ch = Plane::Create(dipc_, Gate::kAdmission, producers, rx,
+                          {.slots = 2, .buf_bytes = 4096, .credits = 1});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanInChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   int delivered = 0;
   kernel_.Spawn(*producers[0], "client", [&, fan](os::Env env) -> sim::Task<void> {
     auto first = co_await fan->AcquireBuf(env, 0);
     DIPC_CHECK(first.ok());
-    DIPC_CHECK((co_await fan->Send(env, 0, first.value(), 64)).ok());
-    EXPECT_EQ(fan->credits(0), 0u);
+    DIPC_CHECK((co_await fan->Send(env, 0, first.value(), 64, 0)).ok());
+    EXPECT_EQ(fan->tx(0).credits, 0u);
     const uint64_t grants_before = fan->LiveGrantCount();
     // The consumer sits on the message until t=100us; this wait dies first.
     auto timed = co_await fan->AcquireBuf(
         env, 0, os::Deadline::After(env.kernel->now(), Duration::Micros(20)));
     EXPECT_EQ(timed.code(), ErrorCode::kTimedOut);
-    EXPECT_EQ(fan->credits(0), 0u);
+    EXPECT_EQ(fan->tx(0).credits, 0u);
     EXPECT_EQ(fan->LiveGrantCount(), grants_before);  // no grant minted
     // Once the release lands, the same producer proceeds with no residue.
     auto after = co_await fan->AcquireBuf(
         env, 0, os::Deadline::After(env.kernel->now(), Duration::Millis(1)));
     DIPC_CHECK(after.ok());
-    DIPC_CHECK((co_await fan->Send(env, 0, after.value(), 64)).ok());
+    DIPC_CHECK((co_await fan->Send(env, 0, after.value(), 64, 0)).ok());
     co_await env.kernel->Sleep(env, Duration::Millis(1));
     fan->Close();
   });
   kernel_.Spawn(cons, "server", [&, fan](os::Env env) -> sim::Task<void> {
     co_await env.kernel->Sleep(env, Duration::Micros(100));
     while (true) {
-      auto msg = co_await fan->Recv(env);
+      auto msg = co_await fan->Recv(env, 0);
       if (!msg.ok()) {
         co_return;
       }
       ++delivered;
-      EXPECT_TRUE((co_await fan->Release(env, msg.value())).ok());
+      EXPECT_TRUE((co_await fan->Release(env, 0, msg.value())).ok());
     }
   });
   kernel_.Run();
@@ -317,16 +322,17 @@ TEST_F(FanInTest, RebindProducerSplicesFreshIncarnationWithFullCreditLine) {
   // incarnation's late-released message refunds nobody.
   auto producers = MakeProducers(2);
   os::Process& cons = dipc_.CreateDipcProcess("server");
-  auto ch = FanInChannel::Create(dipc_, producers, cons,
-                                 {.slots = 4, .buf_bytes = 4096, .credits = 2});
+  os::Process* rx[] = {&cons};
+  auto ch = Plane::Create(dipc_, Gate::kAdmission, producers, rx,
+                          {.slots = 4, .buf_bytes = 4096, .credits = 2});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanInChannel> fan = ch.value();
-  const uint64_t old_owner = fan->producer_owner(0);
+  std::shared_ptr<Plane> fan = ch.value();
+  const uint64_t old_owner = fan->tx(0).key;
   int delivered = 0;
   kernel_.Spawn(*producers[0], "doomed", [&, fan](os::Env env) -> sim::Task<void> {
     auto queued = co_await fan->AcquireBuf(env, 0);
     DIPC_CHECK(queued.ok());
-    DIPC_CHECK((co_await fan->Send(env, 0, queued.value(), 64)).ok());
+    DIPC_CHECK((co_await fan->Send(env, 0, queued.value(), 64, 0)).ok());
     auto held = co_await fan->AcquireBuf(env, 0);  // held, never sent
     DIPC_CHECK(held.ok());
     co_await env.kernel->Sleep(env, Duration::Millis(10));  // killed at 30us
@@ -336,41 +342,41 @@ TEST_F(FanInTest, RebindProducerSplicesFreshIncarnationWithFullCreditLine) {
     // message's release happens against the *rebound* incarnation.
     co_await env.kernel->Sleep(env, Duration::Micros(100));
     while (true) {
-      auto msg = co_await fan->Recv(env);
+      auto msg = co_await fan->Recv(env, 0);
       if (!msg.ok()) {
         co_return;
       }
       ++delivered;
-      EXPECT_TRUE((co_await fan->Release(env, msg.value())).ok());
+      EXPECT_TRUE((co_await fan->Release(env, 0, msg.value())).ok());
     }
   });
   os::Process& killer = dipc_.CreateDipcProcess("killer");
   kernel_.Spawn(killer, "supervisor", [&, fan](os::Env env) -> sim::Task<void> {
     co_await env.kernel->Sleep(env, Duration::Micros(30));
     dipc_.KillProcess(*producers[0]);
-    EXPECT_FALSE(fan->producer_alive(0));
+    EXPECT_FALSE(fan->tx(0).alive);
     // The dead incarnation's owner key is already fully drained even though
     // its published message is still queued (read grant belongs to the
     // consumer's key, not the producer's).
     EXPECT_EQ(codoms_.revocations().LiveCountForOwner(old_owner), 0u);
     co_await env.kernel->Sleep(env, Duration::Micros(30));
     os::Process& fresh = dipc_.CreateDipcProcess("client-0b");
-    EXPECT_TRUE(fan->RebindProducer(0, fresh).ok());
-    EXPECT_TRUE(fan->producer_alive(0));
-    EXPECT_NE(fan->producer_owner(0), old_owner);  // fresh owner key
-    EXPECT_EQ(fan->credits(0), fan->credit_line());  // full line, no residue
+    EXPECT_TRUE(fan->Rebind(Side::kTx, 0, fresh).ok());
+    EXPECT_TRUE(fan->tx(0).alive);
+    EXPECT_NE(fan->tx(0).key, old_owner);  // fresh owner key
+    EXPECT_EQ(fan->tx(0).credits, fan->credit_line());  // full line, no residue
     kernel_.Spawn(fresh, "client", [&, fan](os::Env env2) -> sim::Task<void> {
       // Let the consumer drain the old incarnation's queued message first;
       // its release must NOT overfill our fresh credit line.
       co_await env2.kernel->Sleep(env2, Duration::Micros(200));
-      EXPECT_LE(fan->credits(0), fan->credit_line());
+      EXPECT_LE(fan->tx(0).credits, fan->credit_line());
       for (int i = 0; i < 3; ++i) {
         auto buf = co_await fan->AcquireBuf(env2, 0);
         DIPC_CHECK(buf.ok());
-        DIPC_CHECK((co_await fan->Send(env2, 0, buf.value(), 64)).ok());
+        DIPC_CHECK((co_await fan->Send(env2, 0, buf.value(), 64, 0)).ok());
       }
       co_await env2.kernel->Sleep(env2, Duration::Millis(1));
-      EXPECT_EQ(fan->credits(0), fan->credit_line());
+      EXPECT_EQ(fan->tx(0).credits, fan->credit_line());
       fan->Close();
     });
   });

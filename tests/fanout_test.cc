@@ -1,15 +1,14 @@
-// Unit tests for the fan-out channel (src/chan/fanout.h): broadcast and
-// sharded delivery, per-receiver capability isolation, credit-based flow
-// control with both lag policies, duplex endpoints, and the per-receiver
-// revocation regression for dead receivers.
+// Unit tests for the fan-out shape of the channel plane (src/chan/plane.h,
+// Gate::kDelivery): broadcast and sharded delivery, per-receiver capability
+// isolation, credit-based flow control, and the per-receiver revocation
+// regression for dead receivers.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "chan/channel.h"
-#include "chan/fanout.h"
+#include "chan/plane.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "hw/machine.h"
@@ -41,10 +40,11 @@ class FanOutTest : public ::testing::Test {
 
 TEST_F(FanOutTest, BroadcastDeliversEveryMessageToEveryReceiver) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process* tx[] = {&prod};
   auto receivers = MakeReceivers(3);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, Gate::kDelivery, tx, receivers, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   constexpr int kMsgs = 7;  // > slots: forces rotation through every slot
   std::vector<std::vector<std::string>> got(3);
   for (uint32_t r = 0; r < 3; ++r) {
@@ -67,13 +67,13 @@ TEST_F(FanOutTest, BroadcastDeliversEveryMessageToEveryReceiver) {
   }
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     for (int i = 0; i < kMsgs; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
       std::string payload = "msg-" + std::to_string(i);
       EXPECT_TRUE(
           env.kernel->UserWrite(*env.self, buf.value().va, std::as_bytes(std::span(payload)))
               .ok());
-      EXPECT_TRUE((co_await fan->Send(env, buf.value(), payload.size())).ok());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), payload.size(), fan->rx_count())).ok());
     }
     fan->Close();
   });
@@ -91,10 +91,11 @@ TEST_F(FanOutTest, BroadcastDeliversEveryMessageToEveryReceiver) {
 
 TEST_F(FanOutTest, ShardedSendToRoundRobinsAndParallelizes) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process* tx[] = {&prod};
   auto receivers = MakeReceivers(3);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 4, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, Gate::kDelivery, tx, receivers, {.slots = 4, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   constexpr int kMsgs = 12;
   std::vector<int> counts(3, 0);
   for (uint32_t r = 0; r < 3; ++r) {
@@ -111,11 +112,11 @@ TEST_F(FanOutTest, ShardedSendToRoundRobinsAndParallelizes) {
   }
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     for (int i = 0; i < kMsgs; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
       uint32_t shard = fan->NextShard();
-      DIPC_CHECK(shard < fan->receiver_count());
-      EXPECT_TRUE((co_await fan->SendTo(env, buf.value(), 64, shard)).ok());
+      DIPC_CHECK(shard < fan->rx_count());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 64, shard)).ok());
     }
     fan->Close();
   });
@@ -130,11 +131,11 @@ TEST_F(FanOutTest, ShardedSendToRoundRobinsAndParallelizes) {
 
 TEST_F(FanOutTest, CreditGateBlocksProducerUntilSlowestReceiverReleases) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process* tx[] = {&prod};
   auto receivers = MakeReceivers(2);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers,
-                                  {.slots = 2, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, Gate::kDelivery, tx, receivers, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   double third_send_at = 0;
   // Receiver 0 releases immediately; receiver 1 (the slowest) sits on its
   // deliveries until t=40us.
@@ -166,9 +167,9 @@ TEST_F(FanOutTest, CreditGateBlocksProducerUntilSlowestReceiverReleases) {
   });
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     for (int i = 0; i < 3; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
-      EXPECT_TRUE((co_await fan->Send(env, buf.value(), 64)).ok());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 64, fan->rx_count())).ok());
       if (i == 2) {
         third_send_at = env.kernel->now().micros();
       }
@@ -189,10 +190,11 @@ TEST_F(FanOutTest, DeadReceiverIsRevokedIndividuallyWithoutBreakingGroup) {
   // its grants) must die, its slots must recycle, and the two survivors
   // must keep receiving as if nothing happened.
   os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process* tx[] = {&prod};
   auto receivers = MakeReceivers(3);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 4, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, Gate::kDelivery, tx, receivers, {.slots = 4, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   constexpr int kBefore = 2;   // messages delivered before the kill
   constexpr int kAfter = 6;    // messages broadcast after the kill
   std::vector<int> got(3, 0);
@@ -229,16 +231,16 @@ TEST_F(FanOutTest, DeadReceiverIsRevokedIndividuallyWithoutBreakingGroup) {
   }
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     for (int i = 0; i < kBefore; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
-      EXPECT_TRUE((co_await fan->Send(env, buf.value(), 64)).ok());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 64, fan->rx_count())).ok());
     }
     co_await env.kernel->Sleep(env, Duration::Micros(50));  // killer fires at 30
-    EXPECT_FALSE(fan->receiver_alive(1));
+    EXPECT_FALSE(fan->rx(1).alive);
     for (int i = 0; i < kAfter; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
-      EXPECT_TRUE((co_await fan->Send(env, buf.value(), 64)).ok());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 64, fan->rx_count())).ok());
     }
     fan->Close();
   });
@@ -248,7 +250,7 @@ TEST_F(FanOutTest, DeadReceiverIsRevokedIndividuallyWithoutBreakingGroup) {
     dipc_.KillProcess(*receivers[1]);
     // Per-receiver bookkeeping: the dead receiver's entire grant set is
     // revoked at kill time, while the survivors' grants stay untouched.
-    EXPECT_EQ(codoms_.revocations().LiveCountForOwner(fan->receiver_owner(1)), 0u);
+    EXPECT_EQ(codoms_.revocations().LiveCountForOwner(fan->rx(1).key), 0u);
   });
   kernel_.Run();
   // The channel never broke and the survivors saw every message.
@@ -258,18 +260,19 @@ TEST_F(FanOutTest, DeadReceiverIsRevokedIndividuallyWithoutBreakingGroup) {
   // The victim popped only the first message (held across the kill); the
   // second died in its failed FIFO, and nothing after the kill reached it.
   EXPECT_EQ(got[1], 1);
-  EXPECT_EQ(fan->live_receiver_count(), 2u);
-  EXPECT_EQ(codoms_.revocations().LiveCountForOwner(fan->receiver_owner(1)), 0u);
+  EXPECT_EQ(fan->live_count(Side::kRx), 2u);
+  EXPECT_EQ(codoms_.revocations().LiveCountForOwner(fan->rx(1).key), 0u);
   EXPECT_EQ(fan->LiveGrantCount(), 0u);
   ASSERT_NE(victim_held_va, 0u);
 }
 
 TEST_F(FanOutTest, ProducerDeathBreaksGroupAndRevokesEveryGrant) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process* tx[] = {&prod};
   auto receivers = MakeReceivers(2);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, Gate::kDelivery, tx, receivers, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   std::vector<ErrorCode> recv_errors(2, ErrorCode::kOk);
   for (uint32_t r = 0; r < 2; ++r) {
     kernel_.Spawn(*receivers[r], "worker", [&, fan, r](os::Env env) -> sim::Task<void> {
@@ -284,9 +287,9 @@ TEST_F(FanOutTest, ProducerDeathBreaksGroupAndRevokesEveryGrant) {
     });
   }
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
-    auto buf = co_await fan->AcquireBuf(env);
+    auto buf = co_await fan->AcquireBuf(env, 0);
     DIPC_CHECK(buf.ok());
-    EXPECT_TRUE((co_await fan->Send(env, buf.value(), 64)).ok());
+    EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 64, fan->rx_count())).ok());
     co_await env.kernel->Sleep(env, Duration::Millis(10));  // killed meanwhile
   });
   os::Process& killer = dipc_.CreateDipcProcess("killer");
@@ -306,11 +309,13 @@ TEST_F(FanOutTest, ProducerDeathBreaksGroupAndRevokesEveryGrant) {
 
 TEST_F(FanOutTest, SteadyStateBroadcastMintsNothingAfterWarmup) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process* tx[] = {&prod};
   auto receivers = MakeReceivers(2);
   constexpr uint32_t kSlots = 2;
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = kSlots, .buf_bytes = 4096});
+  auto ch =
+      Plane::Create(dipc_, Gate::kDelivery, tx, receivers, {.slots = kSlots, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   for (uint32_t r = 0; r < 2; ++r) {
     kernel_.Spawn(*receivers[r], "worker", [&, fan, r](os::Env env) -> sim::Task<void> {
       while (true) {
@@ -325,9 +330,9 @@ TEST_F(FanOutTest, SteadyStateBroadcastMintsNothingAfterWarmup) {
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     auto cycle = [&](int n) -> sim::Task<void> {
       for (int i = 0; i < n; ++i) {
-        auto buf = co_await fan->AcquireBuf(env);
+        auto buf = co_await fan->AcquireBuf(env, 0);
         DIPC_CHECK(buf.ok());
-        DIPC_CHECK((co_await fan->Send(env, buf.value(), 64)).ok());
+        DIPC_CHECK((co_await fan->Send(env, 0, buf.value(), 64, fan->rx_count())).ok());
       }
     };
     co_await cycle(3 * kSlots);  // warm every write + per-receiver read template
@@ -345,78 +350,17 @@ TEST_F(FanOutTest, SteadyStateBroadcastMintsNothingAfterWarmup) {
   kernel_.Run();
 }
 
-TEST_F(FanOutTest, DuplexEndpointsRoundTripAndCloseBothWays) {
-  // Duplex endpoints: requests forward, completions on the paired reverse
-  // ring, both directions through one object per side.
-  os::Process& client = dipc_.CreateDipcProcess("client");
-  os::Process& server = dipc_.CreateDipcProcess("server");
-  auto dx = DuplexChannel::Create(dipc_, client, server, {.slots = 2, .buf_bytes = 4096});
-  ASSERT_TRUE(dx.ok());
-  std::shared_ptr<DuplexEndpoint> cli = dx.value()->a_end();
-  std::shared_ptr<DuplexEndpoint> srv = dx.value()->b_end();
-  constexpr int kCalls = 5;
-  int served = 0;
-  std::vector<uint64_t> replies;
-  kernel_.Spawn(server, "server", [&, srv](os::Env env) -> sim::Task<void> {
-    while (true) {
-      auto req = co_await srv->Recv(env);
-      if (!req.ok()) {
-        co_return;  // client closed the forward ring
-      }
-      uint64_t v = 0;
-      EXPECT_TRUE(env.kernel
-                      ->UserRead(*env.self, req.value().va,
-                                 std::as_writable_bytes(std::span(&v, 1)))
-                      .ok());
-      ++served;
-      EXPECT_TRUE((co_await srv->Release(env, req.value())).ok());
-      auto buf = co_await srv->AcquireBuf(env);
-      DIPC_CHECK(buf.ok());
-      uint64_t resp = v * 10;
-      EXPECT_TRUE(
-          env.kernel->UserWrite(*env.self, buf.value().va, std::as_bytes(std::span(&resp, 1)))
-              .ok());
-      EXPECT_TRUE((co_await srv->Send(env, buf.value(), 8)).ok());
-    }
-  });
-  kernel_.Spawn(client, "client", [&, cli](os::Env env) -> sim::Task<void> {
-    for (uint64_t i = 1; i <= kCalls; ++i) {
-      auto buf = co_await cli->AcquireBuf(env);
-      DIPC_CHECK(buf.ok());
-      EXPECT_TRUE(
-          env.kernel->UserWrite(*env.self, buf.value().va, std::as_bytes(std::span(&i, 1)))
-              .ok());
-      EXPECT_TRUE((co_await cli->Send(env, buf.value(), 8)).ok());
-      auto resp = co_await cli->Recv(env);
-      DIPC_CHECK(resp.ok());
-      uint64_t v = 0;
-      EXPECT_TRUE(env.kernel
-                      ->UserRead(*env.self, resp.value().va,
-                                 std::as_writable_bytes(std::span(&v, 1)))
-                      .ok());
-      replies.push_back(v);
-      EXPECT_TRUE((co_await cli->Release(env, resp.value())).ok());
-    }
-    cli->Close();
-  });
-  kernel_.Run();
-  EXPECT_EQ(served, kCalls);
-  ASSERT_EQ(replies.size(), static_cast<size_t>(kCalls));
-  for (uint64_t i = 1; i <= kCalls; ++i) {
-    EXPECT_EQ(replies[i - 1], i * 10);
-  }
-}
-
 TEST_F(FanOutTest, DeadShardSendToIsRetryableAndAbandonRecyclesSlots) {
   // The producer-side ownership contract: while broken() == kOk a failed
-  // SendTo leaves the buffer owned, so it can be resharded onto a live
+  // sharded Send leaves the buffer owned, so it can be resharded onto a live
   // receiver, and AbandonBatch hands unsent buffers back to the pool
   // (revoking the write grants) instead of leaking them.
   os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process* tx[] = {&prod};
   auto receivers = MakeReceivers(2);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, Gate::kDelivery, tx, receivers, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   int shard0_got = 0;
   kernel_.Spawn(*receivers[0], "live", [&, fan](os::Env env) -> sim::Task<void> {
     while (true) {
@@ -442,35 +386,35 @@ TEST_F(FanOutTest, DeadShardSendToIsRetryableAndAbandonRecyclesSlots) {
     // third acquire can only proceed once the kill recycles the slots the
     // dead receiver pinned.
     for (int i = 0; i < 2; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       DIPC_CHECK(buf.ok());
-      DIPC_CHECK((co_await fan->SendTo(env, buf.value(), 64, 1)).ok());
+      DIPC_CHECK((co_await fan->Send(env, 0, buf.value(), 64, 1)).ok());
     }
-    auto buf = co_await fan->AcquireBuf(env);
+    auto buf = co_await fan->AcquireBuf(env, 0);
     DIPC_CHECK(buf.ok());
     EXPECT_GE(env.kernel->now().micros(), 30.0);  // needed the kill's recycle
     // The shard is dead: the send fails, the buffer stays ours, and the
     // retry onto the live shard delivers it.
-    auto dead = co_await fan->SendTo(env, buf.value(), 64, 1);
+    auto dead = co_await fan->Send(env, 0, buf.value(), 64, 1);
     EXPECT_EQ(dead.code(), ErrorCode::kCalleeFailed);
     EXPECT_EQ(fan->broken(), ErrorCode::kOk);
-    EXPECT_TRUE((co_await fan->SendTo(env, buf.value(), 64, 0)).ok());
+    EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 64, 0)).ok());
     // Abandon: gather the whole pool (AcquireBufBatch drains what's there,
     // so accumulate while the in-flight message comes back), hand it
     // straight back, and prove the pool is whole by re-gathering it.
     auto gather_all = [&]() -> sim::Task<std::vector<SendBuf>> {
       std::vector<SendBuf> held;
       while (held.size() < 2) {
-        auto got = co_await fan->AcquireBufBatch(env, 2 - static_cast<uint32_t>(held.size()));
+        auto got = co_await fan->AcquireBufBatch(env, 0, 2 - static_cast<uint32_t>(held.size()));
         DIPC_CHECK(got.ok());
         held.insert(held.end(), got.value().begin(), got.value().end());
       }
       co_return held;
     };
     std::vector<SendBuf> all = co_await gather_all();
-    EXPECT_TRUE((co_await fan->AbandonBatch(env, all)).ok());
+    EXPECT_TRUE((co_await fan->AbandonBatch(env, 0, all)).ok());
     std::vector<SendBuf> again = co_await gather_all();
-    EXPECT_TRUE((co_await fan->AbandonBatch(env, again)).ok());
+    EXPECT_TRUE((co_await fan->AbandonBatch(env, 0, again)).ok());
     fan->Close();
   });
   os::Process& killer = dipc_.CreateDipcProcess("killer");
@@ -489,10 +433,11 @@ TEST_F(FanOutTest, ReboundReceiverReentersRotationWithoutSkewingShards) {
   // must re-enter the round-robin at its old index — the cursor may neither
   // double-visit its neighbours nor skip the revived slot.
   os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process* tx[] = {&prod};
   auto receivers = MakeReceivers(3);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 6, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, Gate::kDelivery, tx, receivers, {.slots = 6, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   std::vector<int> got(4, 0);  // 0, 1 (old incarnation), 2, 1 (rebound)
   auto recv_loop = [&, fan](uint32_t r, int counter) {
     return [&, fan, r, counter](os::Env env) -> sim::Task<void> {
@@ -514,19 +459,19 @@ TEST_F(FanOutTest, ReboundReceiverReentersRotationWithoutSkewingShards) {
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     auto shard_send = [&](int n) -> sim::Task<void> {
       for (int i = 0; i < n; ++i) {
-        auto buf = co_await fan->AcquireBuf(env);
+        auto buf = co_await fan->AcquireBuf(env, 0);
         DIPC_CHECK(buf.ok());
         uint32_t shard = fan->NextShard();
-        DIPC_CHECK(shard < fan->receiver_count());
-        DIPC_CHECK((co_await fan->SendTo(env, buf.value(), 64, shard)).ok());
+        DIPC_CHECK(shard < fan->rx_count());
+        DIPC_CHECK((co_await fan->Send(env, 0, buf.value(), 64, shard)).ok());
       }
     };
     co_await shard_send(2);  // cursor now past slots 0 and 1
     co_await env.kernel->Sleep(env, Duration::Micros(50));  // killer fires at 30
-    EXPECT_FALSE(fan->receiver_alive(1));
+    EXPECT_FALSE(fan->rx(1).alive);
     co_await shard_send(1);  // lands on slot 2 (slot 1 is dead, not skipped-forever)
     os::Process& fresh = dipc_.CreateDipcProcess("worker-1b");
-    EXPECT_TRUE(fan->RebindReceiver(1, fresh).ok());
+    EXPECT_TRUE(fan->Rebind(Side::kRx, 1, fresh).ok());
     kernel_.Spawn(fresh, "worker", recv_loop(1, 3));
     co_await shard_send(9);  // full rotations: exactly three per live slot
     co_await env.kernel->Sleep(env, Duration::Micros(50));  // drain releases
@@ -548,15 +493,16 @@ TEST_F(FanOutTest, ReboundReceiverReentersRotationWithoutSkewingShards) {
 
 TEST_F(FanOutTest, ShardDeathDuringSendSpendLeavesBufferOwnedAndRetryable) {
   // The mid-send ownership regression: the target dies while the producer is
-  // suspended inside SendTo's runtime charge. The failed send must leave the
-  // producer owning the buffer — the old code revoked the write grant before
-  // the suspension, so the death sweep freed the slot while the caller was
-  // promised it could retry, aliasing the next acquire.
+  // suspended inside the sharded Send's runtime charge. The failed send must
+  // leave the producer owning the buffer — the old code revoked the write
+  // grant before the suspension, so the death sweep freed the slot while the
+  // caller was promised it could retry, aliasing the next acquire.
   os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process* tx[] = {&prod};
   auto receivers = MakeReceivers(2);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, Gate::kDelivery, tx, receivers, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   int live_got = 0;
   kernel_.Spawn(*receivers[0], "live", [&, fan](os::Env env) -> sim::Task<void> {
     while (true) {
@@ -573,19 +519,19 @@ TEST_F(FanOutTest, ShardDeathDuringSendSpendLeavesBufferOwnedAndRetryable) {
     EXPECT_FALSE(msg.ok());  // killed while parked
   });
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
-    auto buf = co_await fan->AcquireBuf(env);
+    auto buf = co_await fan->AcquireBuf(env, 0);
     DIPC_CHECK(buf.ok());
     // Widen the send's Spend window so the killer (t=5us) fires inside it.
     machine_.costs().chan_fast_path = Duration::Micros(10);
-    auto s = co_await fan->SendTo(env, buf.value(), 64, 1);
+    auto s = co_await fan->Send(env, 0, buf.value(), 64, 1);
     EXPECT_GE(env.kernel->now().micros(), 10.0);  // we were inside the Spend
     EXPECT_EQ(s.code(), ErrorCode::kCalleeFailed);
     EXPECT_EQ(fan->broken(), ErrorCode::kOk);
-    EXPECT_FALSE(fan->receiver_alive(1));
+    EXPECT_FALSE(fan->rx(1).alive);
     // Ownership survived the mid-Spend death: the write grant is live and
     // the very same buffer reshards onto the live receiver.
     EXPECT_GE(fan->LiveGrantCount(), 1u);
-    EXPECT_TRUE((co_await fan->SendTo(env, buf.value(), 64, 0)).ok());
+    EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 64, 0)).ok());
     co_await env.kernel->Sleep(env, Duration::Millis(1));  // drain the release
     fan->Close();
   });
@@ -602,19 +548,20 @@ TEST_F(FanOutTest, ShardDeathDuringSendSpendLeavesBufferOwnedAndRetryable) {
 
 TEST_F(FanOutTest, AllReceiversDeadFailsProducerOps) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
+  os::Process* tx[] = {&prod};
   auto receivers = MakeReceivers(2);
-  auto ch = FanOutChannel::Create(dipc_, prod, receivers, {.slots = 2, .buf_bytes = 4096});
+  auto ch = Plane::Create(dipc_, Gate::kDelivery, tx, receivers, {.slots = 2, .buf_bytes = 4096});
   ASSERT_TRUE(ch.ok());
-  std::shared_ptr<FanOutChannel> fan = ch.value();
+  std::shared_ptr<Plane> fan = ch.value();
   ErrorCode send_err = ErrorCode::kOk;
   kernel_.Spawn(prod, "producer", [&, fan](os::Env env) -> sim::Task<void> {
     co_await env.kernel->Sleep(env, Duration::Micros(50));  // both killed at 20/30
-    auto buf = co_await fan->AcquireBuf(env);
+    auto buf = co_await fan->AcquireBuf(env, 0);
     if (!buf.ok()) {
       send_err = buf.code();
       co_return;
     }
-    send_err = (co_await fan->Send(env, buf.value(), 64)).code();
+    send_err = (co_await fan->Send(env, 0, buf.value(), 64, fan->rx_count())).code();
   });
   os::Process& killer = dipc_.CreateDipcProcess("killer");
   kernel_.Spawn(killer, "killer", [&](os::Env env) -> sim::Task<void> {
@@ -625,7 +572,7 @@ TEST_F(FanOutTest, AllReceiversDeadFailsProducerOps) {
   });
   kernel_.Run();
   EXPECT_EQ(send_err, ErrorCode::kCalleeFailed);
-  EXPECT_EQ(fan->live_receiver_count(), 0u);
+  EXPECT_EQ(fan->live_count(Side::kRx), 0u);
   EXPECT_EQ(fan->LiveGrantCount(), 0u);
 }
 

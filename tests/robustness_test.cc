@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "chan/channel.h"
-#include "chan/fanout.h"
+#include "chan/plane.h"
 #include "codoms/codoms.h"
 #include "dipc/dipc.h"
 #include "hw/machine.h"
@@ -99,9 +99,10 @@ TEST_F(RobustnessTest, ChannelAcquireBufTimesOutWhenSlotsExhausted) {
 TEST_F(RobustnessTest, FanOutRecvBatchTimesOutAgainstWedgedProducer) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   std::vector<os::Process*> rxs{&dipc_.CreateDipcProcess("w0"), &dipc_.CreateDipcProcess("w1")};
-  auto fr = FanOutChannel::Create(dipc_, prod, rxs, {.slots = 4, .buf_bytes = 256});
+  os::Process* tx[] = {&prod};
+  auto fr = Plane::Create(dipc_, Gate::kDelivery, tx, rxs, {.slots = 4, .buf_bytes = 256});
   ASSERT_TRUE(fr.ok());
-  std::shared_ptr<FanOutChannel> fan = fr.value();
+  std::shared_ptr<Plane> fan = fr.value();
   bool checked = false;
   kernel_.Spawn(*rxs[0], "rx", [&](os::Env env) -> sim::Task<void> {
     os::Kernel& k = *env.kernel;
@@ -120,20 +121,21 @@ TEST_F(RobustnessTest, FanOutSendTimesOutWhenCreditsExhausted) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   std::vector<os::Process*> rxs{&dipc_.CreateDipcProcess("w0")};
   // credit line == slots == 2: two unconsumed sends exhaust admission.
-  auto fr = FanOutChannel::Create(dipc_, prod, rxs, {.slots = 2, .buf_bytes = 256});
+  os::Process* tx[] = {&prod};
+  auto fr = Plane::Create(dipc_, Gate::kDelivery, tx, rxs, {.slots = 2, .buf_bytes = 256});
   ASSERT_TRUE(fr.ok());
-  std::shared_ptr<FanOutChannel> fan = fr.value();
+  std::shared_ptr<Plane> fan = fr.value();
   bool timed_out = false;
   kernel_.Spawn(prod, "tx", [&](os::Env env) -> sim::Task<void> {
     os::Kernel& k = *env.kernel;
     for (int i = 0; i < 2; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       EXPECT_TRUE(buf.ok());
-      EXPECT_TRUE((co_await fan->SendTo(env, buf.value(), 16, 0)).ok());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 16, 0)).ok());
     }
     // The receiver never releases: the third send must give up at its
     // deadline inside credit admission, still owning no slot.
-    auto buf = co_await fan->AcquireBuf(env, os::Deadline::After(k.now(), Duration::Millis(1)));
+    auto buf = co_await fan->AcquireBuf(env, 0, os::Deadline::After(k.now(), Duration::Millis(1)));
     EXPECT_EQ(buf.code(), ErrorCode::kTimedOut);
     timed_out = true;
   });
@@ -141,15 +143,16 @@ TEST_F(RobustnessTest, FanOutSendTimesOutWhenCreditsExhausted) {
   EXPECT_TRUE(timed_out);
   // Two delivered-but-unconsumed messages hold their read grants; the
   // timed-out acquire added none on top.
-  EXPECT_EQ(fan->credits(0), fan->credit_line() - 2);
+  EXPECT_EQ(fan->rx(0).credits, fan->credit_line() - 2);
 }
 
 TEST_F(RobustnessTest, PeerDeathBeatsPendingDeadline) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   std::vector<os::Process*> rxs{&dipc_.CreateDipcProcess("w0")};
-  auto fr = FanOutChannel::Create(dipc_, prod, rxs, {.slots = 2, .buf_bytes = 256});
+  os::Process* tx[] = {&prod};
+  auto fr = Plane::Create(dipc_, Gate::kDelivery, tx, rxs, {.slots = 2, .buf_bytes = 256});
   ASSERT_TRUE(fr.ok());
-  std::shared_ptr<FanOutChannel> fan = fr.value();
+  std::shared_ptr<Plane> fan = fr.value();
   bool checked = false;
   kernel_.Spawn(*rxs[0], "rx", [&](os::Env env) -> sim::Task<void> {
     os::Kernel& k = *env.kernel;
@@ -248,34 +251,35 @@ TEST_F(RobustnessTest, SemaphoreFailInKernelEntryWindowDoesNotHang) {
 }
 
 // The supervisor's healing step: a receiver dies, OnProcessDeath sweeps its
-// slot, RebindReceiver re-homes the slot to a fresh process, and delivery
+// slot, Plane::Rebind re-homes the slot to a fresh process, and delivery
 // resumes with a full credit line. Undelivered messages to the dead
 // incarnation are recycled, never delivered twice.
 TEST_F(RobustnessTest, RebindReceiverRestoresDeliveryAfterDeath) {
   os::Process& prod = dipc_.CreateDipcProcess("producer");
   std::vector<os::Process*> rxs{&dipc_.CreateDipcProcess("w0"), &dipc_.CreateDipcProcess("w1")};
-  auto fr = FanOutChannel::Create(dipc_, prod, rxs, {.slots = 4, .buf_bytes = 256});
+  os::Process* tx[] = {&prod};
+  auto fr = Plane::Create(dipc_, Gate::kDelivery, tx, rxs, {.slots = 4, .buf_bytes = 256});
   ASSERT_TRUE(fr.ok());
-  std::shared_ptr<FanOutChannel> fan = fr.value();
+  std::shared_ptr<Plane> fan = fr.value();
 
   int delivered_to_fresh = 0;
   kernel_.Spawn(prod, "tx", [&](os::Env env) -> sim::Task<void> {
     os::Kernel& k = *env.kernel;
     // Phase 1: two messages parked at w0, which dies without consuming them.
     for (int i = 0; i < 2; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       EXPECT_TRUE(buf.ok());
-      EXPECT_TRUE((co_await fan->SendTo(env, buf.value(), 16, 0)).ok());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 16, 0)).ok());
     }
     dipc_.KillProcess(*rxs[0]);
-    EXPECT_FALSE(fan->receiver_alive(0));
+    EXPECT_FALSE(fan->rx(0).alive);
     // Phase 2: heal slot 0 into a fresh process and verify the full credit
     // line came back (the dead incarnation's undelivered messages were
     // recycled by the sweep, not carried over).
     os::Process& fresh = dipc_.CreateDipcProcess("w0-respawn");
-    EXPECT_TRUE(fan->RebindReceiver(0, fresh).ok());
-    EXPECT_TRUE(fan->receiver_alive(0));
-    EXPECT_EQ(fan->credits(0), fan->credit_line());
+    EXPECT_TRUE(fan->Rebind(Side::kRx, 0, fresh).ok());
+    EXPECT_TRUE(fan->rx(0).alive);
+    EXPECT_EQ(fan->rx(0).credits, fan->credit_line());
     kernel_.Spawn(fresh, "rx", [&](os::Env env2) -> sim::Task<void> {
       while (true) {
         auto msg = co_await fan->Recv(env2, 0);
@@ -288,9 +292,9 @@ TEST_F(RobustnessTest, RebindReceiverRestoresDeliveryAfterDeath) {
       }
     });
     for (int i = 0; i < 3; ++i) {
-      auto buf = co_await fan->AcquireBuf(env);
+      auto buf = co_await fan->AcquireBuf(env, 0);
       EXPECT_TRUE(buf.ok());
-      EXPECT_TRUE((co_await fan->SendTo(env, buf.value(), 16, 0)).ok());
+      EXPECT_TRUE((co_await fan->Send(env, 0, buf.value(), 16, 0)).ok());
     }
     // Let the fresh receiver drain, then shut down in order.
     co_await k.Sleep(env, Duration::Millis(1));

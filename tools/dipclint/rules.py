@@ -87,11 +87,11 @@ def load_probe_manifest(text: str) -> tuple[set[str], set[str]]:
 
 # ---- CAP-LEAK -------------------------------------------------------------
 
+# The acquire and consuming calls of chan::Plane and of the Channel view
+# over it: each sink ends the caller's ownership of the buffers it is handed.
 _ACQUIRES = {"AcquireBuf", "AcquireBufBatch"}
-# The channel views' consuming calls: each ends the caller's ownership of
-# the buffers it is handed.
 _SINKS = {
-    "Send", "SendBatch", "SendTo", "SendToBatch",
+    "Send", "SendBatch",
     "Abandon", "AbandonBatch",
     "Release", "ReleaseBatch",
 }
